@@ -19,6 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import core, diagnostics, harness, solvers
+from .core import format_float
 from .errors import LqsolveError, NotStationary
 from .prox import ProxParams, prox_scalar, thresholds
 
@@ -31,16 +32,12 @@ EXIT_NOT_STATIONARY = 4
 # ---------------------------------------------------------------------------
 # array file format: first line "rows,cols", then one CSV row per matrix row
 
-def _fmt(x):
-    return repr(float(x))
-
-
 def write_array(path, a):
     a = np.atleast_2d(np.asarray(a, dtype=np.float64))
     with open(path, "w") as fh:
         fh.write(f"{a.shape[0]},{a.shape[1]}\n")
         for row in a:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+            fh.write(",".join(format_float(v) for v in row) + "\n")
 
 
 def read_array(path):
@@ -250,7 +247,7 @@ def _ragged_csv(path, columns):
             cells = [str(s)]
             for name in names:
                 vals = columns[name]
-                cells.append(_fmt(vals[s]) if s < len(vals) else "")
+                cells.append(format_float(vals[s]) if s < len(vals) else "")
             fh.write(",".join(cells) + "\n")
 
 
@@ -272,7 +269,7 @@ def cmd_compare(args):
         with open(csv_path, "w") as fh:
             fh.write("mu,algorithm,converged,diverged,sweeps\n")
             for run in result.runs:
-                fh.write(f"{_fmt(run.mu)},{run.algorithm},{run.converged},"
+                fh.write(f"{format_float(run.mu)},{run.algorithm},{run.converged},"
                          f"{run.diverged},{run.sweeps}\n")
     else:
         columns = {}
@@ -298,8 +295,8 @@ def cmd_sweep(args):
     with open(out_dir / "mu_sweep_cells.csv", "w") as fh:
         fh.write("q,mu,sweeps,converged,final_rmse\n")
         for run in result.runs:
-            fh.write(f"{_fmt(run.q)},{_fmt(run.mu)},{run.sweeps},"
-                     f"{run.converged},{_fmt(run.final_rmse)}\n")
+            fh.write(f"{format_float(run.q)},{format_float(run.mu)},{run.sweeps},"
+                     f"{run.converged},{format_float(run.final_rmse)}\n")
     with open(out_dir / "mu_sweep_result.json", "w") as fh:
         fh.write(result.to_json())
         fh.write("\n")
@@ -319,9 +316,10 @@ def cmd_prox_eval(args):
         if abs(z) == tau:
             nonzero = prox_scalar(z, 1.0, params)
             zero = prox_scalar(z, 0.0, params)
-            print(f"{_fmt(z)},{_fmt(nonzero)} (x_prev!=0) / {_fmt(zero)} (x_prev=0)")
+            print(f"{format_float(z)},{format_float(nonzero)} (x_prev!=0) / "
+                  f"{format_float(zero)} (x_prev=0)")
         else:
-            print(f"{_fmt(z)},{_fmt(prox_scalar(z, 0.0, params))}")
+            print(f"{format_float(z)},{format_float(prox_scalar(z, 0.0, params))}")
     return EXIT_OK
 
 

@@ -37,6 +37,11 @@ def as_matrix(a, name="matrix"):
     return a
 
 
+def format_float(x):
+    """Shortest round-trip decimal form of x; survives the text boundary exactly."""
+    return repr(float(x))
+
+
 @dataclass(frozen=True)
 class ProblemInstance:
     """One regularized least-squares datum: matrix A (m x N), observation y,

@@ -27,7 +27,7 @@ import numpy as np
 from .core import ProblemInstance
 from .errors import InvalidInstance
 from .solvers import (IterateChange, RmseVsReference, SolverConfig,
-                      SweepCapOnly, gaita_run, jaita_run)
+                      gaita_run, jaita_run)
 from . import core
 
 PRESETS = ("fig1", "fig3", "fig4", "mu_sweep")
@@ -162,29 +162,17 @@ def _resolve(defaults, overrides):
     return cfg
 
 
-def _gaita_record(p, cfg, mu, q, keep_iterates=False, reference=None,
-                  stop_rule=None, max_sweeps=None):
-    sc = SolverConfig(
-        mu=mu,
-        max_sweeps=max_sweeps if max_sweeps is not None else cfg["max_sweeps"],
-        stop_rule=stop_rule or IterateChange(cfg["step_tol"]),
-        prox_tol=cfg["prox_tol"],
-        trace_reference=reference,
-        record_iterates=keep_iterates,
-    )
-    state, trace = gaita_run(p, np.zeros(p.n), sc)
-    return state, trace, sc
-
-
-def _to_record(alg, q, mu, state, trace, x_true):
-    final_rmse = rmse(state.x, x_true) if np.any(x_true) else None
+def _solve(alg, p, mu, x_true, **config):
+    """Run one solver from zero under SolverConfig(mu, **config)."""
+    run = gaita_run if alg == "gaita" else jaita_run
+    state, trace = run(p, np.zeros(p.n), SolverConfig(mu=mu, **config))
     return RunRecord(
-        algorithm=alg, q=q, mu=mu,
+        algorithm=alg, q=p.q, mu=mu,
         sweeps=trace.flags["sweeps"],
         converged=trace.flags["converged"],
         diverged=trace.flags["diverged"],
         final_objective=state.objective,
-        final_rmse=final_rmse,
+        final_rmse=rmse(state.x, x_true) if np.any(x_true) else None,
         objective_trace=[float(v) for v in trace.column("objective")],
         trace=trace,
         final_x=state.x.copy(),
@@ -207,13 +195,11 @@ def _run_fig1(overrides, seed):
     runs = []
     for q in cfg["q_list"]:
         p = inst.problem(cfg["lam"], q)
-        state, trace, _ = _gaita_record(p, cfg, cfg["mu"], q)
-        runs.append(_to_record("gaita", q, cfg["mu"], state, trace, inst.x_true))
-        sc = SolverConfig(mu=cfg["mu"], max_sweeps=cfg["max_sweeps"],
-                          stop_rule=IterateChange(cfg["step_tol"]),
-                          prox_tol=cfg["prox_tol"])
-        jstate, jtrace = jaita_run(p, np.zeros(p.n), sc)
-        runs.append(_to_record("jaita", q, cfg["mu"], jstate, jtrace, inst.x_true))
+        for alg in ("gaita", "jaita"):
+            runs.append(_solve(alg, p, cfg["mu"], inst.x_true,
+                               max_sweeps=cfg["max_sweeps"],
+                               stop_rule=IterateChange(cfg["step_tol"]),
+                               prox_tol=cfg["prox_tol"]))
     return ExperimentResult("fig1", seed, _jsonable(cfg), runs)
 
 
@@ -229,20 +215,16 @@ def _run_fig3(overrides, seed):
     runs = []
     for q in cfg["q_list"]:
         p = inst.problem(cfg["lam"], q)
-        for alg, run_fn, mu, cap in (
-                ("gaita", gaita_run, cfg["mu_gaita"], cfg["max_sweeps"]),
-                ("jaita", jaita_run, mu_jaita, cfg["max_sweeps_jaita"])):
-            sc = SolverConfig(mu=mu, max_sweeps=cap,
-                              stop_rule=IterateChange(cfg["step_tol"]),
-                              prox_tol=cfg["prox_tol"],
-                              trace_reference=inst.x_true,
-                              record_iterates=True)
-            state, trace = run_fn(p, np.zeros(p.n), sc)
-            rec = _to_record(alg, q, mu, state, trace, inst.x_true)
+        for alg, mu, cap in (("gaita", cfg["mu_gaita"], cfg["max_sweeps"]),
+                             ("jaita", mu_jaita, cfg["max_sweeps_jaita"])):
+            rec = _solve(alg, p, mu, inst.x_true, max_sweeps=cap,
+                         stop_rule=IterateChange(cfg["step_tol"]),
+                         prox_tol=cfg["prox_tol"],
+                         trace_reference=inst.x_true, record_iterates=True)
             rec.error_trace = [float(np.linalg.norm(x - inst.x_true))
-                               for x in trace.iterates]
-            rec.error_trace_vs_limit = [float(np.linalg.norm(x - state.x))
-                                        for x in trace.iterates]
+                               for x in rec.trace.iterates]
+            rec.error_trace_vs_limit = [float(np.linalg.norm(x - rec.final_x))
+                                        for x in rec.trace.iterates]
             runs.append(rec)
     return ExperimentResult("fig3", seed, _jsonable(cfg), runs)
 
@@ -257,12 +239,11 @@ def _run_fig4(overrides, seed):
     p = inst.problem(cfg["lam"], cfg["q"])
     runs = []
     for mu in cfg["mu_list"]:
-        for alg, run_fn in (("gaita", gaita_run), ("jaita", jaita_run)):
-            sc = SolverConfig(mu=mu, max_sweeps=cfg["max_sweeps"],
-                              stop_rule=IterateChange(cfg["step_tol"]),
-                              prox_tol=cfg["prox_tol"])
-            state, trace = run_fn(p, np.zeros(p.n), sc)
-            runs.append(_to_record(alg, cfg["q"], mu, state, trace, inst.x_true))
+        for alg in ("gaita", "jaita"):
+            runs.append(_solve(alg, p, mu, inst.x_true,
+                               max_sweeps=cfg["max_sweeps"],
+                               stop_rule=IterateChange(cfg["step_tol"]),
+                               prox_tol=cfg["prox_tol"]))
     return ExperimentResult("fig4", seed, _jsonable(cfg), runs)
 
 
@@ -278,11 +259,10 @@ def _run_mu_sweep(overrides, seed):
     for q in cfg["q_list"]:
         p = inst.problem(cfg["lam"], q)
         for mu in cfg["mu_list"]:
-            sc = SolverConfig(mu=mu, max_sweeps=cfg["max_sweeps"],
-                              stop_rule=RmseVsReference(cfg["rmse_tol"], inst.x_true),
-                              prox_tol=cfg["prox_tol"])
-            state, trace = gaita_run(p, np.zeros(p.n), sc)
-            rec = _to_record("gaita", q, mu, state, trace, inst.x_true)
+            rec = _solve("gaita", p, mu, inst.x_true,
+                         max_sweeps=cfg["max_sweeps"],
+                         stop_rule=RmseVsReference(cfg["rmse_tol"], inst.x_true),
+                         prox_tol=cfg["prox_tol"])
             rec.objective_trace = []  # cells are summarized, not traced
             runs.append(rec)
     return ExperimentResult("mu_sweep", seed, _jsonable(cfg), runs)

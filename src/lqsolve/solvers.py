@@ -1,10 +1,11 @@
 """Cyclic (Gauss-Seidel) and full-vector (Jacobi) iterative thresholding.
 
 The cyclic solver updates one coordinate per inner step against a cached
-residual r = A x - y (rank-1 updates, refreshed once per sweep); the
-Jacobi baseline recomputes the full gradient every sweep.  One *sweep*
-means N coordinate updates for the cyclic solver and one full-vector
-update for the Jacobi one; traces are recorded at sweep granularity.
+residual r = A x - y (rank-1 updates); the Jacobi baseline takes one
+full-gradient step.  One *sweep* means N coordinate updates for the
+cyclic solver and one full-vector update for the Jacobi one.  Both run in
+one loop, which refreshes the residual once per sweep, applies the stop
+rules and one divergence guard, and records traces at sweep granularity.
 """
 
 import csv
@@ -15,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import core
-from .core import ProblemInstance, objective_from_residual
+from .core import ProblemInstance, format_float, objective_from_residual
 from .errors import DimensionMismatch, InvalidInstance
 from .prox import DEFAULT_PROX_TOL, ProxParams, prox_scalar, prox_vector
 
@@ -34,7 +35,11 @@ DIVERGENCE_FACTOR = 1e6
 
 @dataclass(frozen=True)
 class IterateChange:
-    """Stop once the largest per-update step in a full sweep is <= tol."""
+    """Stop once a sweep's step is <= tol.
+
+    The step is measured per solver: for gaita the largest single-coordinate
+    change in the sweep, for jaita the 2-norm of the whole update.
+    """
 
     tol: float = 1e-10
 
@@ -136,8 +141,9 @@ class IterationTrace:
             writer = csv.writer(fh)
             writer.writerow(self.COLUMNS)
             for sweep, n, obj, step, supp, rmse, elapsed in self.rows:
-                writer.writerow([sweep, n, _fmt(obj), _fmt(step),
-                                 supp, _fmt(rmse), _fmt(elapsed)])
+                writer.writerow([sweep, n, format_float(obj),
+                                 format_float(step), supp, format_float(rmse),
+                                 format_float(elapsed)])
 
     @classmethod
     def from_csv(cls, path):
@@ -152,11 +158,6 @@ class IterationTrace:
                                    float(row[3]), int(row[4]), float(row[5]),
                                    float(row[6])))
         return trace
-
-
-def _fmt(x):
-    # shortest round-trip decimal form; survives the text boundary exactly
-    return repr(float(x))
 
 
 # ---------------------------------------------------------------------------
@@ -269,87 +270,21 @@ def _rmse_vs(x, ref):
     return float(np.linalg.norm(x - ref) / np.linalg.norm(ref))
 
 
-def gaita_run(p, x0, config):
-    """Run the cyclic solver from x0; returns (final state, trace).
+def _run(p, x0, config, algorithm, step, mu_bound, updates_per_sweep):
+    """The loop both solvers share; returns (final state, trace).
 
-    Hitting max_sweeps without the stop rule firing is not an error: the
-    trace carries flags ``converged`` / ``did_not_converge``.  A
-    ``mu_warning`` flag marks mu >= 1/L_max (convergence theory void).
+    ``step(x, r)`` does one sweep in place on x and returns the step
+    metric that IterateChange compares with its tol.  The loop refreshes
+    r = A x - y after every sweep, records, and applies the stop rules.
+    ``mu_bound(A)`` is the curvature bound whose inverse the step size
+    should stay below.
     """
     state = SolverState.initial(p, x0)
-    lmax = core.l_max(p.A)
-    params = ProxParams(c=p.lam * config.mu, q=p.q)
     ref = config.reference()
     trace = IterationTrace()
     trace.flags = {
-        "algorithm": "gaita",
-        "mu_warning": bool(config.mu >= 1.0 / lmax),
-        "converged": False,
-        "diverged": False,
-        "did_not_converge": False,
-        "sweeps": 0,
-    }
-
-    t0 = time.perf_counter()
-    elapsed = lambda: time.perf_counter() - t0 if config.timing else 0.0
-    rmse = _rmse_vs(state.x, ref) if ref is not None else math.nan
-    trace.record(0, 0, state.objective, math.nan, state.x, rmse, 0.0,
-                 config.record_iterates)
-
-    x, r = state.x, state.residual
-    n_dim = p.n
-    x_prev_rec = x.copy()
-    for sweep in range(1, config.max_sweeps + 1):
-        max_step = _sweep(p.A, x, r, config.mu, params.c, params.q,
-                          params.tau, params.eta, config.prox_tol)
-        r[:] = p.A @ x - p.y  # per-sweep refresh bounds rank-1 drift
-        obj = objective_from_residual(p, x, r)
-        rmse = _rmse_vs(x, ref) if ref is not None else math.nan
-
-        stop = False
-        if isinstance(config.stop_rule, IterateChange):
-            stop = max_step <= config.stop_rule.tol
-        elif isinstance(config.stop_rule, RmseVsReference):
-            stop = rmse <= config.stop_rule.tol
-
-        if stop or sweep % config.record_every == 0 or sweep == config.max_sweeps:
-            trace.record(sweep, sweep * n_dim, obj,
-                         float(np.linalg.norm(x - x_prev_rec)), x, rmse,
-                         elapsed(), config.record_iterates)
-            x_prev_rec = x.copy()
-        if stop:
-            trace.flags["converged"] = True
-            trace.flags["sweeps"] = sweep
-            break
-    else:
-        trace.flags["did_not_converge"] = not isinstance(
-            config.stop_rule, SweepCapOnly)
-        trace.flags["sweeps"] = config.max_sweeps
-
-    state.n = trace.flags["sweeps"] * n_dim
-    state.objective = objective_from_residual(p, x, r)
-    return state, trace
-
-
-def jaita_update(state, p, config):
-    """One full-vector thresholded gradient step; returns the successor state."""
-    params = ProxParams(c=p.lam * config.mu, q=p.q)
-    z = state.x - config.mu * (p.A.T @ state.residual)
-    x_new = prox_vector(z, state.x, params, config.prox_tol)
-    r_new = p.A @ x_new - p.y
-    return SolverState(x=x_new, n=state.n + 1, residual=r_new,
-                       objective=objective_from_residual(p, x_new, r_new))
-
-
-def jaita_run(p, x0, config):
-    """Run the Jacobi baseline; aborts with a ``diverged`` flag once the
-    objective exceeds 1e6 times its initial value."""
-    state = SolverState.initial(p, x0)
-    ref = config.reference()
-    trace = IterationTrace()
-    trace.flags = {
-        "algorithm": "jaita",
-        "mu_warning": bool(config.mu >= 1.0 / core.spectral_norm_sq(p.A)),
+        "algorithm": algorithm,
+        "mu_warning": bool(config.mu >= 1.0 / mu_bound(p.A)),
         "converged": False,
         "diverged": False,
         "did_not_converge": False,
@@ -364,24 +299,28 @@ def jaita_run(p, x0, config):
     trace.record(0, 0, state.objective, math.nan, state.x, rmse, 0.0,
                  config.record_iterates)
 
+    x, r = state.x, state.residual
+    x_prev_rec = x.copy()
+    sweep = 0
     for sweep in range(1, config.max_sweeps + 1):
-        new = jaita_update(state, p, config)
-        step_norm = float(np.linalg.norm(new.x - state.x))
-        state = new
-        rmse = _rmse_vs(state.x, ref) if ref is not None else math.nan
+        step_metric = step(x, r)
+        r[:] = p.A @ x - p.y  # per-sweep refresh bounds rank-1 drift
+        state.objective = objective_from_residual(p, x, r)
+        rmse = _rmse_vs(x, ref) if ref is not None else math.nan
 
         diverged = state.objective > guard
         stop = False
         if isinstance(config.stop_rule, IterateChange):
-            stop = step_norm <= config.stop_rule.tol
+            stop = step_metric <= config.stop_rule.tol
         elif isinstance(config.stop_rule, RmseVsReference):
             stop = rmse <= config.stop_rule.tol
 
         if (stop or diverged or sweep % config.record_every == 0
                 or sweep == config.max_sweeps):
-            trace.record(sweep, sweep, state.objective, step_norm, state.x,
-                         rmse, elapsed(), config.record_iterates)
-        trace.flags["sweeps"] = sweep
+            trace.record(sweep, sweep * updates_per_sweep, state.objective,
+                         float(np.linalg.norm(x - x_prev_rec)), x, rmse,
+                         elapsed(), config.record_iterates)
+            x_prev_rec = x.copy()
         if diverged:
             trace.flags["diverged"] = True
             break
@@ -391,4 +330,51 @@ def jaita_run(p, x0, config):
     else:
         trace.flags["did_not_converge"] = not isinstance(
             config.stop_rule, SweepCapOnly)
+    trace.flags["sweeps"] = sweep
+    state.n = sweep * updates_per_sweep
     return state, trace
+
+
+def gaita_run(p, x0, config):
+    """Run the cyclic solver from x0; returns (final state, trace).
+
+    Hitting max_sweeps without the stop rule firing is not an error: the
+    trace carries flags ``converged`` / ``did_not_converge``.  A
+    ``mu_warning`` flag marks mu >= 1/L_max (convergence theory void),
+    and the run aborts with a ``diverged`` flag once the objective
+    exceeds 1e6 times its initial value.
+    """
+    params = ProxParams(c=p.lam * config.mu, q=p.q)
+
+    def sweep(x, r):
+        return _sweep(p.A, x, r, config.mu, params.c, params.q,
+                      params.tau, params.eta, config.prox_tol)
+
+    return _run(p, x0, config, "gaita", sweep, core.l_max, p.n)
+
+
+def _jacobi_x(p, x, r, config, params):
+    return prox_vector(x - config.mu * (p.A.T @ r), x, params, config.prox_tol)
+
+
+def jaita_update(state, p, config):
+    """One full-vector thresholded gradient step; returns the successor state."""
+    params = ProxParams(c=p.lam * config.mu, q=p.q)
+    x_new = _jacobi_x(p, state.x, state.residual, config, params)
+    r_new = p.A @ x_new - p.y
+    return SolverState(x=x_new, n=state.n + 1, residual=r_new,
+                       objective=objective_from_residual(p, x_new, r_new))
+
+
+def jaita_run(p, x0, config):
+    """Run the Jacobi baseline; flags as for gaita_run, with mu_warning
+    marking mu >= 1/||A||_2^2."""
+    params = ProxParams(c=p.lam * config.mu, q=p.q)
+
+    def step(x, r):
+        x_new = _jacobi_x(p, x, r, config, params)
+        step_norm = float(np.linalg.norm(x_new - x))
+        x[:] = x_new
+        return step_norm
+
+    return _run(p, x0, config, "jaita", step, core.spectral_norm_sq, 1)

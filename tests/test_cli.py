@@ -112,6 +112,18 @@ class TestSolve:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["flags"]["algorithm"] == "jaita"
 
+    def test_gaita_divergence_is_flagged(self, tmp_path):
+        inst = tmp_path / "inst40"
+        run_cli("gen", "--m", "40", "--n", "80", "--k", "4", "--seed", "0",
+                "--out-dir", str(inst), "--quiet")
+        out = tmp_path / "rund"
+        code = run_cli("solve", "--instance-dir", str(inst),
+                       "--algorithm", "gaita", "--mu", "2.5",
+                       "--out-dir", str(out), "--quiet")
+        assert code == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["flags"]["diverged"]
+
     def test_config_file_and_flag_precedence(self, tmp_path, instance_dir):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(

@@ -172,6 +172,16 @@ class TestGaitaRun:
         assert len(trace) == 1 and trace.rows[0][0] == 0
         assert np.array_equal(state.x, np.zeros(p.n))
 
+    def test_diverges_at_large_step(self):
+        # unguarded, the objective overflows within a few hundred sweeps
+        # and the prox raises on the non-finite input
+        p, _ = small_problem(seed=0, m=40, n=80, k=4, lam=0.001)
+        state, trace = gaita_run(p, np.zeros(p.n),
+                                 SolverConfig(mu=2.5 / l_max(p.A)))
+        assert trace.flags["diverged"] and not trace.flags["converged"]
+        assert trace.flags["sweeps"] <= 10
+        assert np.all(np.isfinite(state.x)) and np.isfinite(state.objective)
+
     def test_record_every_keeps_first_and_last(self):
         p, _ = small_problem(seed=11)
         config = SolverConfig(mu=0.95 / l_max(p.A), record_every=25)
@@ -226,6 +236,21 @@ class TestJaita:
             SolverConfig(mu=0.99 / spectral_norm_sq(p.A), max_sweeps=50_000))
         assert j_trace.flags["converged"]
         assert np.linalg.norm(g_state.x - j_state.x) <= 1e-6
+
+
+@pytest.mark.parametrize("run, bound, factor", [
+    (gaita_run, l_max, 0.95), (jaita_run, spectral_norm_sq, 0.99)])
+def test_step_norm_spans_skipped_sweeps(run, bound, factor):
+    # step_norm is the change since the previous record, not the last step
+    p, _ = small_problem(seed=3)
+    config = SolverConfig(mu=factor / bound(p.A), max_sweeps=20,
+                          stop_rule=SweepCapOnly(), record_every=3,
+                          record_iterates=True)
+    _, trace = run(p, np.zeros(p.n), config)
+    it = trace.iterates
+    assert len(it) == 8  # sweeps 0, 3, ..., 18 and the final sweep 20
+    for k in range(1, len(it)):
+        assert trace.rows[k][3] == np.linalg.norm(it[k] - it[k - 1])
 
 
 class TestTraceIO:
