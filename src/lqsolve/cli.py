@@ -221,8 +221,10 @@ def cmd_solve(args):
     if not args.quiet:
         status = "converged" if trace.flags["converged"] else (
             "diverged" if trace.flags["diverged"] else "did not converge")
-        print(f"{cfg['algorithm']} {status} after {trace.flags['sweeps']} sweeps; "
-              f"outputs in {out_dir}")
+        backend = (f" (sweep: {solvers.sweep_backend()})"
+                   if cfg["algorithm"] == "gaita" else "")
+        print(f"{cfg['algorithm']} {status} after {trace.flags['sweeps']} sweeps"
+              f"{backend}; outputs in {out_dir}")
     return EXIT_OK
 
 
@@ -323,6 +325,20 @@ def cmd_prox_eval(args):
     return EXIT_OK
 
 
+def _certify_mu(mu, solution, inst):
+    """The step size to certify at, and where it came from: the option, the
+    summary.json that `solve` wrote next to the solution, or the gaita
+    default 0.95/L_max.  Stationarity depends on mu, so a solution is
+    checked at the step size that produced it whenever that is known."""
+    if mu is not None:
+        return mu, "option"
+    summary = solution.parent / "summary.json"
+    if summary.exists():
+        with open(summary) as fh:
+            return float(json.load(fh)["config"]["mu"]), "summary.json"
+    return 0.95 / core.l_max(inst.A), "default 0.95/L_max"
+
+
 def cmd_certify(args):
     file_cfg = _load_config_file(args)
     cfg = _resolved(args, file_cfg, {
@@ -332,14 +348,14 @@ def cmd_certify(args):
         raise LqsolveError("certify requires --instance-dir")
     inst = load_instance(cfg["instance_dir"])
     x = read_vector(args.solution)
-    mu = cfg["mu"] if cfg["mu"] is not None else 0.95 / core.l_max(inst.A)
+    mu, mu_source = _certify_mu(cfg["mu"], Path(args.solution), inst)
     p = inst.problem(cfg["lam"], cfg["q"])
 
     report = diagnostics.check_stationary(p, x, mu, cfg["tol"])
     out_dir = _out_dir(args)
     out_dir.mkdir(parents=True, exist_ok=True)
-    payload = {"config": dict(cfg, mu=mu), "stationarity": report.to_dict(),
-               "certificate": None}
+    payload = {"config": dict(cfg, mu=mu), "mu_source": mu_source,
+               "stationarity": report.to_dict(), "certificate": None}
     if report.is_stationary:
         cert = diagnostics.certify_local_min(p, x, mu, cfg["tol"])
         payload["certificate"] = cert.to_dict()

@@ -15,17 +15,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import core
+from . import _csweep, core
 from .core import ProblemInstance, format_float, objective_from_residual
-from .errors import DimensionMismatch, InvalidInstance
+from .errors import ConvergenceFailure, DimensionMismatch, InvalidInstance
 from .prox import DEFAULT_PROX_TOL, ProxParams, prox_scalar, prox_vector
-
-try:
-    from numba import njit
-
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a hard dependency in practice
-    _HAVE_NUMBA = False
 
 DIVERGENCE_FACTOR = 1e6
 
@@ -198,6 +191,10 @@ def gaita_update(state, p, config):
 
 
 def _sweep_python(A, x, r, mu, c, q, tau, eta, tol):
+    """One cyclic sweep in place on x and r; returns the largest change.
+
+    The oracle for _sweep_c, and the backend where the C kernel cannot load.
+    """
     n_dim = A.shape[1]
     params = ProxParams(c=c, q=q)
     max_step = 0.0
@@ -213,54 +210,39 @@ def _sweep_python(A, x, r, mu, c, q, tau, eta, tol):
     return max_step
 
 
-if _HAVE_NUMBA:
+def _sweep_c(A, x, r, mu, c, q, tau, eta, tol):
+    """The C kernel in _sweep.c; same arguments and bits as _sweep_python."""
+    if A.dtype != np.float64 or A.ndim != 2 or not A.flags.f_contiguous:
+        raise InvalidInstance("the C sweep needs a Fortran-ordered float64 matrix")
+    for v in (x, r):
+        if (v.dtype != np.float64 or v.ndim != 1 or not v.flags.c_contiguous
+                or not v.flags.writeable):
+            raise InvalidInstance("the C sweep needs writable contiguous float64 vectors")
+    m, n_dim = A.shape
+    if x.shape[0] != n_dim or r.shape[0] != m:
+        raise DimensionMismatch(
+            f"x and r have lengths {x.shape[0]} and {r.shape[0]}, "
+            f"expected {n_dim} and {m}")
+    out = np.empty(2)
+    failed = _c_kernel(_c_ddot, m, n_dim, A.ctypes.data, x.ctypes.data,
+                       r.ctypes.data, mu, c, q, tau, eta, tol, out.ctypes.data)
+    if failed >= 0:
+        raise ConvergenceFailure(f"prox root-finder stalled at z_abs={out[1]:g}")
+    return float(out[0])
 
-    @njit(cache=True)
-    def _sweep_numba(A, x, r, mu, c, q, tau, eta, tol):  # pragma: no cover
-        n_dim = A.shape[1]
-        max_step = 0.0
-        for i in range(n_dim):
-            z = x[i] - mu * np.dot(A[:, i], r)
-            z_abs = abs(z)
-            if z_abs < tau:
-                xi = 0.0
-            elif z_abs == tau:
-                xi = math.copysign(eta, z) if x[i] != 0.0 else 0.0
-            else:
-                lo = eta
-                hi = z_abs
-                v = z_abs
-                for _ in range(200):
-                    g = v + c * q * v ** (q - 1.0) - z_abs
-                    if abs(g) <= tol:
-                        break
-                    if g > 0.0:
-                        hi = v
-                    else:
-                        lo = v
-                    gp = 1.0 + c * q * (q - 1.0) * v ** (q - 2.0)
-                    ok = gp > 0.0
-                    if ok:
-                        v_new = v - g / gp
-                        ok = lo <= v_new <= hi
-                    if not ok:
-                        v_new = 0.5 * (lo + hi)
-                    if abs(v_new - v) <= tol:
-                        v = v_new
-                        break
-                    v = v_new
-                xi = math.copysign(v, z)
-            d = xi - x[i]
-            if d != 0.0:
-                r += d * A[:, i]
-                x[i] = xi
-                if abs(d) > max_step:
-                    max_step = abs(d)
-        return max_step
 
-    _sweep = _sweep_numba
-else:
-    _sweep = _sweep_python
+try:
+    _c_kernel, _c_ddot = _csweep.load()
+    _sweep, _fallback_reason = _sweep_c, None
+except _csweep.Unavailable as exc:
+    _sweep, _fallback_reason = _sweep_python, str(exc)
+
+
+def sweep_backend():
+    """Which sweep kernel gaita runs: "c", or "python" and why."""
+    if _sweep is _sweep_c:
+        return "c"
+    return f"python; {_fallback_reason}" if _fallback_reason else "python"
 
 
 # ---------------------------------------------------------------------------

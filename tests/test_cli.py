@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from lqsolve import cli
+from lqsolve import cli, solvers
 from lqsolve.solvers import IterationTrace
 
 
@@ -163,6 +163,22 @@ class TestSolve:
             assert (outs[0] / fname).read_bytes() == (outs[1] / fname).read_bytes()
 
 
+    def test_status_line_names_sweep_backend(self, tmp_path, instance_dir,
+                                             capsys, monkeypatch):
+        # the backend goes to the status line only; the files stay the same
+        outs = []
+        for kernel in (solvers._sweep, solvers._sweep_python):
+            monkeypatch.setattr(solvers, "_sweep", kernel)
+            out = tmp_path / kernel.__name__
+            code = run_cli("solve", "--instance-dir", str(instance_dir),
+                           "--lam", "0.001", "--out-dir", str(out))
+            assert code == 0
+            assert f"(sweep: {solvers.sweep_backend()});" in capsys.readouterr().out
+            outs.append(out)
+        for fname in ("trace.csv", "summary.json", "solution.csv"):
+            assert (outs[0] / fname).read_bytes() == (outs[1] / fname).read_bytes()
+
+
 class TestExitCodes:
     def test_bad_flag_value(self, capsys):
         assert run_cli("solve", "--lam", "not-a-number") == 2
@@ -211,6 +227,34 @@ class TestCertify:
         payload = json.loads((out / "certificate.json").read_text())
         assert payload["stationarity"]["is_stationary"]
         assert payload["certificate"]["theorem7_holds"]
+
+
+    def test_jaita_solution_certifies_at_its_own_mu(self, tmp_path):
+        # stationary at jaita's 0.99/||A||^2 but not at gaita's 0.95/L_max
+        inst = tmp_path / "inst60"
+        run_cli("gen", "--m", "60", "--n", "120", "--k", "5", "--seed", "0",
+                "--out-dir", str(inst), "--quiet")
+        run_dir = tmp_path / "runj"
+        run_cli("solve", "--instance-dir", str(inst), "--algorithm", "jaita",
+                "--lam", "0.05", "--out-dir", str(run_dir), "--quiet")
+        summary = json.loads((run_dir / "summary.json").read_text())
+        certify = ("certify", "--instance-dir", str(inst),
+                   "--solution", str(run_dir / "solution.csv"), "--lam", "0.05",
+                   "--quiet")
+        assert run_cli(*certify, "--out-dir", str(tmp_path / "c1")) == 0
+        payload = json.loads((tmp_path / "c1" / "certificate.json").read_text())
+        assert payload["mu_source"] == "summary.json"
+        assert payload["config"]["mu"] == summary["config"]["mu"]
+
+        (run_dir / "summary.json").unlink()
+        assert run_cli(*certify, "--out-dir", str(tmp_path / "c2")) == 4
+        payload = json.loads((tmp_path / "c2" / "certificate.json").read_text())
+        assert payload["mu_source"] == "default 0.95/L_max"
+
+        mu = str(summary["config"]["mu"])
+        assert run_cli(*certify, "--mu", mu, "--out-dir", str(tmp_path / "c3")) == 0
+        payload = json.loads((tmp_path / "c3" / "certificate.json").read_text())
+        assert payload["mu_source"] == "option"
 
 
 class TestProxEval:

@@ -1,8 +1,11 @@
+import shutil
+
 import numpy as np
 import pytest
 
+from lqsolve import _csweep, solvers
 from lqsolve.core import ProblemInstance, l_max, objective, spectral_norm_sq
-from lqsolve.errors import InvalidInstance
+from lqsolve.errors import ConvergenceFailure, DimensionMismatch, InvalidInstance
 from lqsolve.prox import ProxParams
 from lqsolve.solvers import (IterateChange, IterationTrace, RmseVsReference,
                              SolverConfig, SolverState, SweepCapOnly,
@@ -131,20 +134,49 @@ class TestGaitaRun:
             ref.residual = p.A @ ref.x - p.y
         assert np.array_equal(state.x, ref.x)
 
+    # (q, mu as a multiple of 1/L_max, sweeps, problem): the paper's two
+    # exponents, a step near 1/L_max, and a capped noisy mu_sweep-style cell
+    KERNEL_CASES = [
+        (0.5, 0.95, 20, dict(seed=7)),
+        (2 / 3, 0.95, 20, dict(seed=7)),
+        (0.5, 0.999, 40, dict(seed=9, m=60, n=120, k=5)),
+        (0.9, 0.3, 300, dict(seed=0, m=60, n=120, k=5, lam=0.009, snr_db=30.0)),
+    ]
+
     def test_kernel_matches_pure_python(self):
-        p, _ = small_problem(seed=7)
-        mu = 0.95 / l_max(p.A)
-        params = ProxParams(c=p.lam * mu, q=p.q)
-        state, _ = gaita_run(p, np.zeros(p.n),
-                             SolverConfig(mu=mu, max_sweeps=20,
-                                          stop_rule=SweepCapOnly()))
-        x = np.zeros(p.n)
-        r = p.A @ x - p.y
-        for _ in range(20):
-            _sweep_python(p.A, x, r, mu, params.c, params.q,
-                          params.tau, params.eta, 1e-12)
-            r[:] = p.A @ x - p.y
-        assert np.array_equal(state.x, x)
+        if solvers._sweep is _sweep_python:
+            pytest.skip(f"no compiled sweep: {solvers.sweep_backend()}")
+        for q, factor, sweeps, spec in self.KERNEL_CASES:
+            p, _ = small_problem(q=q, **spec)
+            mu = factor / l_max(p.A)
+            params = ProxParams(c=p.lam * mu, q=p.q)
+            args = (mu, params.c, params.q, params.tau, params.eta, 1e-12)
+            x, xp = np.zeros(p.n), np.zeros(p.n)
+            r, rp = p.A @ x - p.y, p.A @ xp - p.y
+            for sweep in range(sweeps):
+                step = solvers._sweep(p.A, x, r, *args)
+                assert step == _sweep_python(p.A, xp, rp, *args), (q, sweep)
+                assert x.tobytes() == xp.tobytes(), (q, sweep)
+                assert r.tobytes() == rp.tobytes(), (q, sweep)
+                r[:] = p.A @ x - p.y
+                rp[:] = p.A @ xp - p.y
+
+    def test_run_is_the_same_on_both_backends(self, monkeypatch):
+        if solvers._sweep is _sweep_python:
+            pytest.skip(f"no compiled sweep: {solvers.sweep_backend()}")
+        for q, factor, sweeps, spec in self.KERNEL_CASES:
+            p, inst = small_problem(q=q, **spec)
+            config = SolverConfig(mu=factor / l_max(p.A), max_sweeps=sweeps,
+                                  stop_rule=SweepCapOnly(),
+                                  trace_reference=inst.x_true)
+            runs = []
+            for kernel in (solvers._sweep_c, _sweep_python):
+                monkeypatch.setattr(solvers, "_sweep", kernel)
+                runs.append(gaita_run(p, np.zeros(p.n), config))
+            (s_c, t_c), (s_py, t_py) = runs
+            assert s_c.x.tobytes() == s_py.x.tobytes()
+            assert np.array_equal(np.array(t_c.rows), np.array(t_py.rows),
+                                  equal_nan=True)
 
     def test_mu_warning_flag(self):
         p, _ = small_problem(seed=8)
@@ -191,6 +223,72 @@ class TestGaitaRun:
         assert sweeps[-1] == trace.flags["sweeps"]
         interior = sweeps[1:-1]
         assert np.all(interior % 25 == 0)
+
+
+def _kernel(name):
+    if name == "c" and solvers._sweep is not solvers._sweep_c:
+        pytest.skip(f"no compiled sweep: {solvers.sweep_backend()}")
+    return {"python": _sweep_python, "c": solvers._sweep_c}[name]
+
+
+@pytest.mark.parametrize("name", ["python", "c"])
+def test_stalled_prox_raises(name):
+    # an overflowing forward step leaves the root-finder nothing to converge on
+    sweep = _kernel(name)
+    A = np.full((4, 3), 0.5, order="F")
+    x, r = np.zeros(3), np.full(4, 1e308)
+    params = ProxParams(c=0.01, q=0.5)
+    with pytest.raises(ConvergenceFailure,
+                       match=r"^prox root-finder stalled at z_abs=inf$"):
+        sweep(A, x, r, 1.0, params.c, params.q, params.tau, params.eta, 1e-12)
+    assert np.array_equal(x, np.zeros(3))
+
+
+@pytest.mark.parametrize("bad, error", [
+    ("c_ordered_A", InvalidInstance), ("float32_x", InvalidInstance),
+    ("read_only_x", InvalidInstance), ("short_r", DimensionMismatch),
+    ("long_x", DimensionMismatch)])
+def test_c_kernel_rejects_bad_arrays(bad, error):
+    sweep = _kernel("c")
+    A = np.asfortranarray(np.arange(12.0).reshape(4, 3))
+    x, r = np.zeros(3), np.zeros(4)
+    if bad == "c_ordered_A":
+        A = np.ascontiguousarray(A)
+    elif bad == "float32_x":
+        x = x.astype(np.float32)
+    elif bad == "read_only_x":
+        x.flags.writeable = False
+    elif bad == "short_r":
+        r = r[:3]
+    else:
+        x = np.zeros(4)
+    with pytest.raises(error):
+        sweep(A, x, r, 0.1, 0.01, 0.5, 0.1, 0.05, 1e-12)
+
+
+def test_kernel_builds_into_an_empty_cache(tmp_path, monkeypatch):
+    _kernel("c")
+    monkeypatch.setattr(_csweep, "CACHE", tmp_path)
+    kernel, ddot = _csweep.load()
+    assert kernel is not None and ddot
+    assert [f.suffix for f in tmp_path.iterdir()] == [".so"]
+
+
+@pytest.mark.parametrize("fault, reason", [
+    ("no_gcc", "^gcc not found$"), ("bad_source", "^gcc failed: ")])
+def test_unbuildable_kernel_reports_why(fault, reason, tmp_path, monkeypatch):
+    _kernel("c")  # the build is reached only where the rest is in place
+    cache = tmp_path / "cache"
+    monkeypatch.setattr(_csweep, "CACHE", cache)
+    if fault == "no_gcc":
+        monkeypatch.setattr(shutil, "which", lambda name: None)
+    else:
+        bad = tmp_path / "bad.c"
+        bad.write_text("int broken(\n")
+        monkeypatch.setattr(_csweep, "SOURCE", bad)
+    with pytest.raises(_csweep.Unavailable, match=reason):
+        _csweep.load()
+    assert not list(cache.glob("*"))  # no half-written build left behind
 
 
 class TestJaita:
