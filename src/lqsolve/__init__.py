@@ -6,17 +6,16 @@ stationarity and local-minimizer diagnostics and a compressed-sensing
 experiment harness.
 """
 
-from .core import (ProblemInstance, column_norms_sq, l_max, matvec,
+from .core import (ProblemInstance, column_norms_sq, l_max,
                    min_eig_symmetric, objective, spectral_norm_sq)
 from .diagnostics import (LocalMinCertificate, StationarityReport,
                           certify_local_min, check_relative_error,
-                          check_stationary, check_update_optimality,
-                          detect_support_convergence)
+                          check_stationary, check_update_optimality)
 from .errors import (AsymmetricMatrix, ConvergenceFailure, DimensionMismatch,
                      InvalidInstance, LqsolveError, NotStationary)
 from .harness import (ExperimentResult, GeneratedInstance, InstanceSpec,
                       add_noise_snr, generate_instance, rmse, run_experiment)
-from .prox import ProxParams, prox_scalar, prox_vector, solve_inverse, thresholds
+from .prox import ProxParams, prox_scalar, prox_vector, solve_inverse
 from .solvers import (IterateChange, IterationTrace, RmseVsReference,
                       SolverConfig, SolverState, SweepCapOnly,
                       coordinate_forward_step, gaita_run, gaita_update,

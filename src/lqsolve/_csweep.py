@@ -1,12 +1,14 @@
-"""Build, cache and load the C sweep kernel in ``_sweep.c``.
+"""Build, cache and load the C kernel in ``_sweep.c``.
 
 The shared object is compiled with gcc on first import into the package's
 ``__pycache__``, under a name keyed by a hash of the source and the
 compiler flags, and written under a temporary name first so that
 concurrent first imports never load a half-written file.  Later imports
-only hash the source and load the cached file.  ``load`` raises
-``Unavailable`` with a short reason when the kernel cannot be used; the
-caller then falls back to the Python sweep.
+only hash the source and load the cached file.  It is loaded once, here:
+``lq_sweep`` (gaita's sweep), ``lq_prox`` (jaita's prox) and ``ddot`` hold
+the handles, or are None with ``fallback_reason`` saying why; the solvers
+then run the Python sweep and prox, the oracles the kernel is tested
+against.
 """
 
 import ctypes
@@ -69,7 +71,7 @@ def _build(target):
 
 
 def load():
-    """Return (lq_sweep, ddot address) for the C kernel, building it if needed."""
+    """Return (lq_sweep, lq_prox, ddot address), building the kernel if needed."""
     try:
         source = SOURCE.read_bytes()
     except OSError:
@@ -83,9 +85,19 @@ def load():
         lib = ctypes.CDLL(str(target))
     except OSError as exc:
         raise Unavailable(f"cannot load {target.name}: {exc}") from None
-    fn = lib.lq_sweep
-    fn.restype = ctypes.c_int64
-    fn.argtypes = ([ctypes.c_void_p, ctypes.c_int64, ctypes.c_int64]
-                   + [ctypes.c_void_p] * 3 + [ctypes.c_double] * 6
-                   + [ctypes.c_void_p])
-    return fn, ddot
+    sweep, prox = lib.lq_sweep, lib.lq_prox
+    sweep.restype = prox.restype = ctypes.c_int64
+    sweep.argtypes = ([ctypes.c_void_p, ctypes.c_int64, ctypes.c_int64]
+                      + [ctypes.c_void_p] * 3 + [ctypes.c_double] * 6
+                      + [ctypes.c_void_p])
+    prox.argtypes = ([ctypes.c_int64] + [ctypes.c_void_p] * 2
+                     + [ctypes.c_double] * 5 + [ctypes.c_void_p])
+    return sweep, prox, ddot
+
+
+try:
+    lq_sweep, lq_prox, ddot = load()
+    fallback_reason = None
+except Unavailable as exc:
+    lq_sweep = lq_prox = ddot = None
+    fallback_reason = str(exc)

@@ -1,5 +1,6 @@
-/* One cyclic lq thresholding sweep: the compiled twin of
- * solvers._sweep_python, written to give the same bits.
+/* gaita's cyclic sweep (lq_sweep) and jaita's componentwise prox (lq_prox):
+ * the compiled twins of solvers._sweep_python and prox.prox_scalar, written
+ * to give the same bits.
  *
  * The column dot product goes through the BLAS ddot numpy itself calls for
  * np.dot, passed in as a function pointer, and the prox root-finder repeats
@@ -45,6 +46,22 @@ static int solve_inverse(double z_abs, double c, double q, double eta,
     return 0;
 }
 
+/* prox_scalar(z, x_prev) into *xi, NaN included; 0 when the root-finder
+ * stalls.  At |z| == tau the tie goes to eta exactly when x_prev != 0. */
+static int threshold(double z, double x_prev, double c, double q, double tau,
+                     double eta, double tol, double *xi)
+{
+    double z_abs = fabs(z), v;
+    if (z_abs > tau) {
+        if (!solve_inverse(z_abs, c, q, eta, tol, &v))
+            return 0;
+        *xi = copysign(v, z);
+    } else {
+        *xi = z_abs < tau || x_prev == 0.0 ? 0.0 : copysign(eta, z);
+    }
+    return 1;
+}
+
 /* Sweep the n columns of the column-major m x n matrix a, updating x and
  * the residual r = a x - y in place.  out[0] receives the largest
  * single-coordinate change.  Returns -1, or the index of the coordinate
@@ -57,20 +74,11 @@ int64_t lq_sweep(ddot_fn ddot, int64_t m, int64_t n, const double *a,
     double max_step = 0.0;
     for (int64_t i = 0; i < n; i++) {
         const double *col = a + i * m;
-        double z = x[i] - mu * (0.0 + ddot(m, col, 1, r, 1));
-        double z_abs = fabs(z), xi;
-        if (z_abs < tau) {
-            xi = 0.0;
-        } else if (z_abs > tau) {
-            double v;
-            if (!solve_inverse(z_abs, c, q, eta, tol, &v)) {
-                out[0] = max_step;
-                out[1] = z_abs;
-                return i;
-            }
-            xi = copysign(v, z);
-        } else {
-            xi = x[i] != 0.0 ? copysign(eta, z) : 0.0;
+        double z = x[i] - mu * (0.0 + ddot(m, col, 1, r, 1)), xi;
+        if (!threshold(z, x[i], c, q, tau, eta, tol, &xi)) {
+            out[0] = max_step;
+            out[1] = fabs(z);
+            return i;
         }
         double d = xi - x[i];
         if (d != 0.0) {
@@ -82,5 +90,16 @@ int64_t lq_sweep(ddot_fn ddot, int64_t m, int64_t n, const double *a,
         }
     }
     out[0] = max_step;
+    return -1;
+}
+
+/* out[i] = prox_scalar(z[i], x_prev[i]) for i < n.  Returns -1, or the
+ * index whose root-find stalled. */
+int64_t lq_prox(int64_t n, const double *z, const double *x_prev, double c,
+                double q, double tau, double eta, double tol, double *out)
+{
+    for (int64_t i = 0; i < n; i++)
+        if (!threshold(z[i], x_prev[i], c, q, tau, eta, tol, &out[i]))
+            return i;
     return -1;
 }

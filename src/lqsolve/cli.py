@@ -20,8 +20,8 @@ import numpy as np
 
 from . import core, diagnostics, harness, solvers
 from .core import format_float
-from .errors import LqsolveError, NotStationary
-from .prox import ProxParams, prox_scalar, thresholds
+from .errors import LqsolveError
+from .prox import ProxParams, prox_scalar
 
 EXIT_OK = 0
 EXIT_BAD_CONFIG = 2
@@ -311,7 +311,7 @@ def cmd_sweep(args):
 
 def cmd_prox_eval(args):
     params = ProxParams(c=args.lambda_mu, q=args.q)
-    tau, eta = thresholds(params)
+    tau, eta = params.tau, params.eta
     print(f"q={args.q:g} c={args.lambda_mu:g} tau={tau!r} eta={eta!r}")
     print("z,prox")
     for z in args.z:
@@ -325,39 +325,49 @@ def cmd_prox_eval(args):
     return EXIT_OK
 
 
-def _certify_mu(mu, solution, inst):
-    """The step size to certify at, and where it came from: the option, the
-    summary.json that `solve` wrote next to the solution, or the gaita
-    default 0.95/L_max.  Stationarity depends on mu, so a solution is
-    checked at the step size that produced it whenever that is known."""
-    if mu is not None:
-        return mu, "option"
+def _certify_problem(cfg, solution, inst):
+    """Fill in lam, q and mu that no flag or config file gave, from the
+    summary.json `solve` wrote next to the solution, else the defaults, and
+    say where each came from.  Stationarity depends on all three, so a
+    solution is checked on the problem that produced it whenever known."""
     summary = solution.parent / "summary.json"
+    solved = {}
     if summary.exists():
         with open(summary) as fh:
-            return float(json.load(fh)["config"]["mu"]), "summary.json"
-    return 0.95 / core.l_max(inst.A), "default 0.95/L_max"
+            solved = json.load(fh)["config"]
+    sources = {}
+    for name, default in (("lam", 0.001), ("q", 0.5), ("mu", None)):
+        if cfg[name] is not None:
+            source = "option"
+        elif name in solved:
+            cfg[name], source = float(solved[name]), "summary.json"
+        elif default is not None:
+            cfg[name], source = default, f"default {default:g}"
+        else:
+            cfg[name], source = 0.95 / core.l_max(inst.A), "default 0.95/L_max"
+        sources[f"{name}_source"] = source
+    return sources
 
 
 def cmd_certify(args):
     file_cfg = _load_config_file(args)
     cfg = _resolved(args, file_cfg, {
-        "lam": 0.001, "q": 0.5, "mu": None, "tol": 1e-6, "instance_dir": None,
+        "lam": None, "q": None, "mu": None, "tol": 1e-6, "instance_dir": None,
     })
     if cfg["instance_dir"] is None:
         raise LqsolveError("certify requires --instance-dir")
     inst = load_instance(cfg["instance_dir"])
     x = read_vector(args.solution)
-    mu, mu_source = _certify_mu(cfg["mu"], Path(args.solution), inst)
+    sources = _certify_problem(cfg, Path(args.solution), inst)
     p = inst.problem(cfg["lam"], cfg["q"])
 
-    report = diagnostics.check_stationary(p, x, mu, cfg["tol"])
+    report = diagnostics.check_stationary(p, x, cfg["mu"], cfg["tol"])
     out_dir = _out_dir(args)
     out_dir.mkdir(parents=True, exist_ok=True)
-    payload = {"config": dict(cfg, mu=mu), "mu_source": mu_source,
-               "stationarity": report.to_dict(), "certificate": None}
+    payload = dict(sources, config=cfg, stationarity=report.to_dict(),
+                   certificate=None)
     if report.is_stationary:
-        cert = diagnostics.certify_local_min(p, x, mu, cfg["tol"])
+        cert = diagnostics.certify_local_min(p, x, cfg["mu"], cfg["tol"])
         payload["certificate"] = cert.to_dict()
     _write_json(out_dir / "certificate.json", payload)
     if not args.quiet:

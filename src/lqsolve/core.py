@@ -75,16 +75,6 @@ class ProblemInstance:
         return self.A.shape[1]
 
 
-def matvec(A, x):
-    """Matrix-vector product A @ x with dimension checking."""
-    A = as_matrix(A, "A")
-    x = as_vector(x, "x")
-    if x.shape[0] != A.shape[1]:
-        raise DimensionMismatch(
-            f"x has length {x.shape[0]}, expected {A.shape[1]}")
-    return A @ x
-
-
 def column_norms_sq(A):
     """Squared Euclidean norm of every column of A."""
     A = as_matrix(A, "A")

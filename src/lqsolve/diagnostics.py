@@ -10,9 +10,8 @@ conditions on the support I = {i : x_i != 0}:
 
 Beyond stationarity this module certifies local minimality (positive
 definiteness of the support-restricted curvature matrix, plus two cheaper
-sufficient conditions), detects the finite-iteration freeze of support
-and sign, and verifies the relative-error bound that the gradient on a
-frozen support obeys between consecutive sweeps.
+sufficient conditions) and verifies the relative-error bound that the
+gradient on a frozen support obeys between consecutive sweeps.
 """
 
 from dataclasses import asdict, dataclass
@@ -120,24 +119,6 @@ def check_update_optimality(x_prev, x_next, p, mu, i, tol=1e-8):
         + p.lam * p.q * np.sign(xi) * abs(xi) ** (p.q - 1.0)
     expected = (1.0 / mu - float(a_i @ a_i)) * (x_prev[i] - xi)
     return bool(abs(grad_i - expected) <= tol)
-
-
-def detect_support_convergence(signs, window):
-    """Earliest sweep s whose sign vector (hence support) is constant over
-    sweeps [s, s + window]; None if no such s exists.
-
-    ``signs`` is a (sweeps x N) integer array of sign vectors.  The
-    detector is windowed and heuristic: a flip after the window would not
-    be caught here (callers re-scan full traces where that matters).
-    """
-    signs = np.asarray(signs)
-    if window < 1:
-        raise InvalidInstance("window must be >= 1")
-    n_rows = signs.shape[0]
-    for s in range(n_rows - window):
-        if np.all(signs[s:s + window + 1] == signs[s]):
-            return s
-    return None
 
 
 def check_relative_error(p, x_tail, mu, slack=0.0):

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _csweep
 from .errors import ConvergenceFailure, DimensionMismatch, InvalidInstance
 
 DEFAULT_PROX_TOL = 1e-12
@@ -44,11 +45,6 @@ class ProxParams:
         tau = (2.0 - self.q) / (2.0 - 2.0 * self.q) * eta
         object.__setattr__(self, "eta", eta)
         object.__setattr__(self, "tau", tau)
-
-
-def thresholds(params):
-    """Return (tau, eta): the jump threshold and the minimum nonzero output."""
-    return params.tau, params.eta
 
 
 def _g(v, c, q):
@@ -87,7 +83,12 @@ def solve_inverse(z_abs, params, tol=DEFAULT_PROX_TOL):
         if abs(v_new - v) <= tol:
             return v_new
         v = v_new
-    raise ConvergenceFailure(f"prox root-finder stalled at z_abs={z_abs:g}")
+    raise stalled(z_abs)
+
+
+def stalled(z_abs):
+    """The error every backend raises when the root-finder fails at z_abs."""
+    return ConvergenceFailure(f"prox root-finder stalled at z_abs={z_abs:g}")
 
 
 def prox_scalar(z, x_prev, params, tol=DEFAULT_PROX_TOL):
@@ -103,40 +104,21 @@ def prox_scalar(z, x_prev, params, tol=DEFAULT_PROX_TOL):
 
 
 def prox_vector(z, x_prev, params, tol=DEFAULT_PROX_TOL):
-    """Componentwise prox_scalar, vectorized over the active coordinates."""
-    z = np.asarray(z, dtype=np.float64)
-    x_prev = np.asarray(x_prev, dtype=np.float64)
+    """Componentwise prox_scalar, bit for bit: the C kernel's lq_prox, or a
+    loop over prox_scalar where the kernel cannot load."""
+    z = np.asarray(z, dtype=np.float64, order="C")
+    x_prev = np.asarray(x_prev, dtype=np.float64, order="C")
     if z.shape != x_prev.shape:
         raise DimensionMismatch(
             f"z and x_prev must match, got {z.shape} vs {x_prev.shape}")
-    c, q, tau, eta = params.c, params.q, params.tau, params.eta
-    z_abs = np.abs(z)
-    out = np.zeros_like(z)
-
-    tie = z_abs == tau
-    if np.any(tie):
-        out[tie] = np.sign(z[tie]) * eta * (x_prev[tie] != 0.0)
-
-    active = z_abs > tau
-    if np.any(active):
-        za = z_abs[active]
-        v = za.copy()
-        lo = np.full_like(za, eta)
-        hi = za.copy()
-        for _ in range(200):
-            g = v + c * q * v ** (q - 1.0) - za
-            done = np.abs(g) <= tol
-            if done.all():
-                break
-            np.copyto(hi, v, where=(g > 0.0) & ~done)
-            np.copyto(lo, v, where=(g <= 0.0) & ~done)
-            gp = 1.0 + c * q * (q - 1.0) * v ** (q - 2.0)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                v_new = v - g / gp
-            bad = (gp <= 0.0) | (v_new < lo) | (v_new > hi) | ~np.isfinite(v_new)
-            v_new = np.where(bad, 0.5 * (lo + hi), v_new)
-            v = np.where(done, v, v_new)
-        else:
-            raise ConvergenceFailure("vector prox root-finder stalled")
-        out[active] = np.sign(z[active]) * v
+    if _csweep.lq_prox is None:
+        return np.array([prox_scalar(zi, xi, params, tol) for zi, xi
+                         in zip(z.ravel().tolist(), x_prev.ravel().tolist())],
+                        dtype=np.float64).reshape(z.shape)
+    out = np.empty_like(z)
+    failed = _csweep.lq_prox(z.size, z.ctypes.data, x_prev.ctypes.data,
+                             params.c, params.q, params.tau, params.eta, tol,
+                             out.ctypes.data)
+    if failed >= 0:
+        raise stalled(abs(float(z.flat[failed])))
     return out

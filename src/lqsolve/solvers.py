@@ -16,9 +16,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _csweep, core
-from .core import ProblemInstance, format_float, objective_from_residual
-from .errors import ConvergenceFailure, DimensionMismatch, InvalidInstance
-from .prox import DEFAULT_PROX_TOL, ProxParams, prox_scalar, prox_vector
+from .core import format_float, objective_from_residual
+from .errors import DimensionMismatch, InvalidInstance
+from .prox import DEFAULT_PROX_TOL, ProxParams, prox_scalar, prox_vector, stalled
 
 DIVERGENCE_FACTOR = 1e6
 
@@ -224,25 +224,23 @@ def _sweep_c(A, x, r, mu, c, q, tau, eta, tol):
             f"x and r have lengths {x.shape[0]} and {r.shape[0]}, "
             f"expected {n_dim} and {m}")
     out = np.empty(2)
-    failed = _c_kernel(_c_ddot, m, n_dim, A.ctypes.data, x.ctypes.data,
-                       r.ctypes.data, mu, c, q, tau, eta, tol, out.ctypes.data)
+    failed = _csweep.lq_sweep(_csweep.ddot, m, n_dim, A.ctypes.data,
+                              x.ctypes.data, r.ctypes.data, mu, c, q, tau, eta,
+                              tol, out.ctypes.data)
     if failed >= 0:
-        raise ConvergenceFailure(f"prox root-finder stalled at z_abs={out[1]:g}")
+        raise stalled(out[1])
     return float(out[0])
 
 
-try:
-    _c_kernel, _c_ddot = _csweep.load()
-    _sweep, _fallback_reason = _sweep_c, None
-except _csweep.Unavailable as exc:
-    _sweep, _fallback_reason = _sweep_python, str(exc)
+_sweep = _sweep_python if _csweep.lq_sweep is None else _sweep_c
 
 
 def sweep_backend():
     """Which sweep kernel gaita runs: "c", or "python" and why."""
     if _sweep is _sweep_c:
         return "c"
-    return f"python; {_fallback_reason}" if _fallback_reason else "python"
+    reason = _csweep.fallback_reason
+    return f"python; {reason}" if reason else "python"
 
 
 # ---------------------------------------------------------------------------

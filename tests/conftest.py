@@ -1,8 +1,9 @@
 """Shared fixtures and independent oracles.
 
 The oracles here deliberately avoid the library code paths they check:
-grid search for the scalar thresholding operator, cyclic Jacobi rotations
-for eigenvalues, and plain bisection for the monotone scalar equation.
+grid search for the scalar thresholding operator, the closed-form
+half-thresholding formula for q = 1/2, cyclic Jacobi rotations for
+eigenvalues, and plain bisection for the monotone scalar equation.
 """
 
 import math
@@ -29,6 +30,15 @@ def grid_prox_oracle(z, c, q, resolution=1e-4):
 
 def prox_objective(z, v, c, q):
     return 0.5 * (z - v) ** 2 + c * abs(v) ** q if v != 0 else 0.5 * z * z
+
+
+def half_threshold_oracle(z, c):
+    """The q = 1/2 prox above the jump threshold in closed form (Xu, Chang,
+    Xu, Zhang, "L1/2 regularization: a thresholding representation theory
+    and a fast solver", IEEE TNNLS 2012), with their lambda = 2c:
+    h(z) = (2/3) z (1 + cos(2pi/3 - (2/3) arccos((lambda/8) (|z|/3)^(-3/2))))."""
+    phi = math.acos(2.0 * c / 8.0 * (abs(z) / 3.0) ** -1.5)
+    return 2.0 / 3.0 * z * (1.0 + math.cos(2.0 * math.pi / 3.0 - 2.0 / 3.0 * phi))
 
 
 def bisect_root(f, lo, hi, tol=1e-12, max_iter=200):

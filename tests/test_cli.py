@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from lqsolve import cli, solvers
+from lqsolve import _csweep, cli, solvers
 from lqsolve.solvers import IterationTrace
 
 
@@ -165,18 +165,24 @@ class TestSolve:
 
     def test_status_line_names_sweep_backend(self, tmp_path, instance_dir,
                                              capsys, monkeypatch):
-        # the backend goes to the status line only; the files stay the same
-        outs = []
-        for kernel in (solvers._sweep, solvers._sweep_python):
-            monkeypatch.setattr(solvers, "_sweep", kernel)
-            out = tmp_path / kernel.__name__
-            code = run_cli("solve", "--instance-dir", str(instance_dir),
-                           "--lam", "0.001", "--out-dir", str(out))
-            assert code == 0
-            assert f"(sweep: {solvers.sweep_backend()});" in capsys.readouterr().out
-            outs.append(out)
-        for fname in ("trace.csv", "summary.json", "solution.csv"):
-            assert (outs[0] / fname).read_bytes() == (outs[1] / fname).read_bytes()
+        # the backend goes to the status line only; the files stay the same,
+        # for gaita's sweep and for jaita's prox
+        for backend in ("active", "python"):
+            if backend == "python":
+                monkeypatch.setattr(solvers, "_sweep", solvers._sweep_python)
+                monkeypatch.setattr(_csweep, "lq_prox", None)
+            for alg in ("gaita", "jaita"):
+                code = run_cli("solve", "--instance-dir", str(instance_dir),
+                               "--algorithm", alg, "--lam", "0.001",
+                               "--out-dir", str(tmp_path / f"{alg}-{backend}"))
+                assert code == 0
+                status = capsys.readouterr().out
+                if alg == "gaita":
+                    assert f"(sweep: {solvers.sweep_backend()});" in status
+        for alg in ("gaita", "jaita"):
+            for fname in ("trace.csv", "summary.json", "solution.csv"):
+                assert (tmp_path / f"{alg}-active" / fname).read_bytes() == \
+                    (tmp_path / f"{alg}-python" / fname).read_bytes()
 
 
 class TestExitCodes:
@@ -255,6 +261,31 @@ class TestCertify:
         assert run_cli(*certify, "--mu", mu, "--out-dir", str(tmp_path / "c3")) == 0
         payload = json.loads((tmp_path / "c3" / "certificate.json").read_text())
         assert payload["mu_source"] == "option"
+
+
+    def test_solution_certifies_on_the_problem_it_solved(self, tmp_path,
+                                                        instance_dir):
+        # lam and q come from summary.json unless a flag or --config gives them
+        run_dir = tmp_path / "run"
+        run_cli("solve", "--instance-dir", str(instance_dir), "--q", "0.7",
+                "--lam", "0.01", "--out-dir", str(run_dir), "--quiet")
+        certify = ("certify", "--instance-dir", str(instance_dir),
+                   "--solution", str(run_dir / "solution.csv"), "--quiet")
+        assert run_cli(*certify, "--lam", "0.01",
+                       "--out-dir", str(tmp_path / "c1")) == 0
+        payload = json.loads((tmp_path / "c1" / "certificate.json").read_text())
+        assert payload["config"]["q"] == 0.7 and payload["config"]["lam"] == 0.01
+        assert (payload["q_source"], payload["lam_source"]) == ("summary.json", "option")
+
+        assert run_cli(*certify, "--out-dir", str(tmp_path / "c2")) == 0
+        payload = json.loads((tmp_path / "c2" / "certificate.json").read_text())
+        assert payload["lam_source"] == "summary.json"
+
+        (run_dir / "summary.json").unlink()
+        assert run_cli(*certify, "--lam", "0.01",
+                       "--out-dir", str(tmp_path / "c3")) == 4
+        payload = json.loads((tmp_path / "c3" / "certificate.json").read_text())
+        assert payload["config"]["q"] == 0.5 and payload["q_source"] == "default 0.5"
 
 
 class TestProxEval:

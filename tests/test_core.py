@@ -3,29 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lqsolve.core import (ProblemInstance, column_norms_sq, l_max, matvec,
+from lqsolve.core import (ProblemInstance, column_norms_sq, l_max,
                           min_eig_symmetric, objective, spectral_norm_sq)
 from lqsolve.errors import AsymmetricMatrix, DimensionMismatch, InvalidInstance
 
 from conftest import jacobi_eigenvalues
-
-
-class TestMatvec:
-    def test_identity(self):
-        x = np.array([1.0, -2.0, 3.0])
-        assert np.array_equal(matvec(np.eye(3), x), x)
-
-    def test_worked_example(self):
-        out = matvec([[1.0, 2.0], [3.0, 4.0]], [1.0, 1.0])
-        assert np.allclose(out, [3.0, 7.0])
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatch):
-            matvec(np.eye(3), np.ones(2))
-
-    def test_rejects_nonfinite(self):
-        with pytest.raises(InvalidInstance):
-            matvec([[np.nan, 0.0]], [1.0, 1.0])
 
 
 class TestColumnNorms:
@@ -120,6 +102,12 @@ class TestProblemInstance:
     def test_rejects_length_mismatch(self):
         with pytest.raises(DimensionMismatch):
             ProblemInstance(A=np.eye(2), y=np.zeros(3), lam=1.0, q=0.5)
+
+    def test_rejects_nonfinite(self):
+        with pytest.raises(InvalidInstance):
+            ProblemInstance(A=[[np.nan, 0.0]], y=[1.0], lam=1.0, q=0.5)
+        with pytest.raises(InvalidInstance):
+            ProblemInstance(A=np.eye(2), y=[1.0, np.inf], lam=1.0, q=0.5)
 
 
 class TestObjective:

@@ -5,8 +5,7 @@ import pytest
 
 from lqsolve.core import ProblemInstance, l_max
 from lqsolve.diagnostics import (certify_local_min, check_relative_error,
-                                 check_stationary, check_update_optimality,
-                                 detect_support_convergence)
+                                 check_stationary, check_update_optimality)
 from lqsolve.errors import InvalidInstance, NotStationary
 from lqsolve.prox import ProxParams, prox_vector
 from lqsolve.solvers import (IterateChange, SolverConfig, SolverState,
@@ -115,26 +114,6 @@ class TestUpdateOptimality:
 
 
 class TestSupportFreeze:
-    def test_constant_signs_detected_at_start(self):
-        signs = np.tile([1, 0, -1], (6, 1))
-        assert detect_support_convergence(signs, window=3) == 0
-
-    def test_late_freeze(self):
-        signs = np.array([[1, 0], [0, 1], [0, 1], [0, 1], [0, 1]])
-        assert detect_support_convergence(signs, window=2) == 1
-
-    def test_flipping_never_freezes(self):
-        signs = np.array([[1, 0], [0, 1]] * 4)
-        assert detect_support_convergence(signs, window=2) is None
-
-    def test_window_must_fit(self):
-        signs = np.ones((3, 2), dtype=int)
-        assert detect_support_convergence(signs, window=5) is None
-
-    def test_rejects_bad_window(self):
-        with pytest.raises(InvalidInstance):
-            detect_support_convergence(np.ones((4, 2)), window=0)
-
     def test_solver_signs_freeze_before_run_end(self):
         # the sign pattern must stabilize strictly before the step-size
         # stop fires (finite-iteration freeze); short windows may latch
@@ -148,7 +127,6 @@ class TestSupportFreeze:
                    if not np.array_equal(row, final)]
         freeze = changed[-1] + 1 if changed else 0
         assert freeze < len(signs) - 1
-        assert detect_support_convergence(signs[freeze:], window=1) == 0
         assert np.array_equal(final, np.sign(state.x).astype(final.dtype))
 
 

@@ -5,11 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lqsolve import _csweep
+from lqsolve.core import spectral_norm_sq
 from lqsolve.errors import DimensionMismatch, InvalidInstance
-from lqsolve.prox import (ProxParams, prox_scalar, prox_vector, solve_inverse,
-                          thresholds)
+from lqsolve.harness import InstanceSpec, generate_instance
+from lqsolve.prox import ProxParams, prox_scalar, prox_vector, solve_inverse
 
-from conftest import bisect_root, grid_prox_oracle, prox_objective
+from conftest import (bisect_root, grid_prox_oracle, half_threshold_oracle,
+                      prox_objective)
 
 qs = st.floats(0.05, 0.95)
 cs = st.floats(0.01, 10.0)
@@ -18,13 +21,15 @@ cs = st.floats(0.01, 10.0)
 class TestThresholds:
     def test_half_exponent_unit_weight(self):
         # q=1/2, c=1: eta = 1^(2/3) = 1, tau = (3/2)/1 * eta = 3/2
-        tau, eta = thresholds(ProxParams(c=1.0, q=0.5))
+        params = ProxParams(c=1.0, q=0.5)
+        tau, eta = params.tau, params.eta
         assert eta == pytest.approx(1.0, abs=1e-12)
         assert tau == pytest.approx(1.5, abs=1e-12)
 
     def test_two_thirds_exponent(self):
         # q=2/3, c=1: eta = (2/3)^(3/4), tau = 2*eta
-        tau, eta = thresholds(ProxParams(c=1.0, q=2.0 / 3.0))
+        params = ProxParams(c=1.0, q=2.0 / 3.0)
+        tau, eta = params.tau, params.eta
         assert eta == pytest.approx((2.0 / 3.0) ** 0.75, rel=1e-12)
         assert tau == pytest.approx(2.0 * eta, rel=1e-12)
 
@@ -40,7 +45,7 @@ class TestThresholds:
     @given(q=qs, c=cs)
     def test_identities(self, q, c):
         params = ProxParams(c=c, q=q)
-        tau, eta = thresholds(params)
+        tau, eta = params.tau, params.eta
         assert tau == pytest.approx(eta * (2 - q) / (2 - 2 * q), abs=1e-10)
         # the nonzero branch meets the threshold exactly: g(eta) = tau
         g_eta = eta + c * q * eta ** (q - 1.0)
@@ -144,7 +149,7 @@ class TestProxVector:
         x_prev = rng.uniform(-1, 1, size=50)
         out = prox_vector(z, x_prev, params)
         expected = [prox_scalar(zi, xi, params) for zi, xi in zip(z, x_prev)]
-        assert np.allclose(out, expected, atol=1e-10)
+        assert np.array_equal(out, expected)
         assert out.shape == z.shape
 
     def test_all_below_threshold(self):
@@ -168,3 +173,61 @@ class TestProxVector:
         out = prox_vector(rng.uniform(-3, 3, size=200), np.zeros(200), params)
         nz = out[out != 0.0]
         assert np.all(np.abs(nz) >= params.eta - 1e-9)
+
+
+@pytest.fixture(params=["c", "python"])
+def backend(request, monkeypatch):
+    """prox_vector on the C kernel's lq_prox, or on its prox_scalar loop."""
+    if request.param == "c" and _csweep.lq_prox is None:
+        pytest.skip(f"no C kernel: {_csweep.fallback_reason}")
+    if request.param == "python":
+        monkeypatch.setattr(_csweep, "lq_prox", None)
+    return request.param
+
+
+@pytest.fixture(scope="module")
+def paper_instance():
+    return generate_instance(InstanceSpec(250, 500, 15, seed=0))
+
+
+@pytest.mark.parametrize("q", [0.5, 2.0 / 3.0])
+def test_vector_is_scalar_on_jaita_steps(q, paper_instance, backend):
+    # jaita's forward steps on the paper instance at its default step size
+    p = paper_instance.problem(0.001, q)
+    mu = 0.99 / spectral_norm_sq(p.A)
+    params = ProxParams(c=p.lam * mu, q=q)
+    x = np.zeros(p.n)
+    for step in range(25):
+        z = x - mu * (p.A.T @ (p.A @ x - p.y))
+        out = prox_vector(z, x, params)
+        expected = [prox_scalar(zi, xi, params) for zi, xi in zip(z, x)]
+        assert np.array_equal(out, expected), step
+        x = out
+    assert np.count_nonzero(x) > 0
+
+
+@pytest.mark.parametrize("shape", [(), (3, 4), (0,)])
+def test_vector_keeps_any_shape(shape, backend):
+    params = ProxParams(c=0.4, q=0.6)
+    z = np.linspace(-3.0, 3.0, int(np.prod(shape))).reshape(shape)
+    out = prox_vector(z.tolist(), np.zeros(shape).tolist(), params)
+    assert out.shape == shape and out.dtype == np.float64
+    assert np.array_equal(out.ravel(), [prox_scalar(zi, 0.0, params)
+                                        for zi in z.ravel()])
+
+
+def test_vector_takes_strided_input(backend):
+    params = ProxParams(c=0.4, q=0.6)
+    z = np.linspace(-3.0, 3.0, 40)
+    assert np.array_equal(prox_vector(z[::2], np.zeros(40)[::2], params),
+                          prox_vector(z[::2].copy(), np.zeros(20), params))
+
+
+def test_matches_half_threshold_closed_form(rng, backend):
+    # q = 1/2 only, where the prox has a closed form sharing no code with it
+    for _ in range(2000):
+        params = ProxParams(c=10.0 ** rng.uniform(-4.0, 1.0), q=0.5)
+        z = rng.choice([-1.0, 1.0]) * params.tau * (1.0 + rng.uniform(1e-6, 20.0))
+        expected = half_threshold_oracle(z, params.c)
+        assert prox_scalar(z, 0.0, params) == pytest.approx(expected, rel=1e-10)
+        assert prox_vector([z], [0.0], params)[0] == pytest.approx(expected, rel=1e-10)

@@ -6,7 +6,7 @@ import pytest
 from lqsolve import _csweep, solvers
 from lqsolve.core import ProblemInstance, l_max, objective, spectral_norm_sq
 from lqsolve.errors import ConvergenceFailure, DimensionMismatch, InvalidInstance
-from lqsolve.prox import ProxParams
+from lqsolve.prox import ProxParams, prox_vector
 from lqsolve.solvers import (IterateChange, IterationTrace, RmseVsReference,
                              SolverConfig, SolverState, SweepCapOnly,
                              _sweep_python, coordinate_forward_step, gaita_run,
@@ -232,16 +232,21 @@ def _kernel(name):
 
 
 @pytest.mark.parametrize("name", ["python", "c"])
-def test_stalled_prox_raises(name):
-    # an overflowing forward step leaves the root-finder nothing to converge on
+def test_stalled_prox_raises(name, monkeypatch):
+    # an overflowing forward step leaves the root-finder nothing to converge
+    # on, in gaita's sweep and in jaita's vector prox alike
     sweep = _kernel(name)
+    if name == "python":
+        monkeypatch.setattr(_csweep, "lq_prox", None)
     A = np.full((4, 3), 0.5, order="F")
     x, r = np.zeros(3), np.full(4, 1e308)
     params = ProxParams(c=0.01, q=0.5)
-    with pytest.raises(ConvergenceFailure,
-                       match=r"^prox root-finder stalled at z_abs=inf$"):
+    stalled = r"^prox root-finder stalled at z_abs=inf$"
+    with pytest.raises(ConvergenceFailure, match=stalled):
         sweep(A, x, r, 1.0, params.c, params.q, params.tau, params.eta, 1e-12)
     assert np.array_equal(x, np.zeros(3))
+    with pytest.raises(ConvergenceFailure, match=stalled):
+        prox_vector(np.array([0.5, -np.inf]), np.zeros(2), params)
 
 
 @pytest.mark.parametrize("bad, error", [
@@ -269,8 +274,8 @@ def test_c_kernel_rejects_bad_arrays(bad, error):
 def test_kernel_builds_into_an_empty_cache(tmp_path, monkeypatch):
     _kernel("c")
     monkeypatch.setattr(_csweep, "CACHE", tmp_path)
-    kernel, ddot = _csweep.load()
-    assert kernel is not None and ddot
+    sweep, prox, ddot = _csweep.load()
+    assert sweep is not None and prox is not None and ddot
     assert [f.suffix for f in tmp_path.iterdir()] == [".so"]
 
 
