@@ -5,8 +5,9 @@ Outputs are plain-text CSV (one-line "rows,cols" header for arrays,
 17-significant-digit floats) plus JSON summaries that echo the fully
 resolved configuration, so any result can be regenerated from its own
 output.  Exit codes: 0 success (including did-not-converge, which is
-reported in the JSON), 2 bad configuration, 3 I/O failure, 4 certify ran
-on a non-stationary point.
+reported in the JSON), 2 bad configuration, 3 I/O failure (including an
+instance file whose bytes do not match the sha256 in its manifest), 4
+certify ran on a non-stationary point.
 """
 
 import argparse
@@ -20,7 +21,7 @@ import numpy as np
 
 from . import core, diagnostics, harness, solvers
 from .core import format_float
-from .errors import LqsolveError
+from .errors import CorruptFile, LqsolveError
 from .prox import ProxParams, prox_scalar
 
 EXIT_OK = 0
@@ -57,6 +58,10 @@ def read_vector(path):
     return read_array(path).reshape(-1)
 
 
+def _file_sha256(path):
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
 def _spec_hash(spec_dict):
     canon = json.dumps(spec_dict, sort_keys=True)
     return hashlib.sha256(canon.encode()).hexdigest()
@@ -86,7 +91,8 @@ def save_instance(out_dir, inst):
         "column_normalize": inst.spec.column_normalize,
         "snr_db": inst.spec.snr_db, "seed": inst.spec.seed,
     }
-    manifest = {"files": INSTANCE_FILES, "spec": spec_dict,
+    sha256 = {name: _file_sha256(out_dir / name) for name in INSTANCE_FILES.values()}
+    manifest = {"files": INSTANCE_FILES, "spec": spec_dict, "sha256": sha256,
                 "seed": inst.spec.seed, "spec_hash": _spec_hash(spec_dict)}
     _write_json(out_dir / "manifest.json", manifest)
     return manifest
@@ -96,6 +102,11 @@ def load_instance(instance_dir):
     instance_dir = Path(instance_dir)
     with open(instance_dir / "manifest.json") as fh:
         manifest = json.load(fh)
+    recorded = manifest.get("sha256", {})
+    for name in manifest["files"].values():
+        if _file_sha256(instance_dir / name) != recorded.get(name):
+            raise CorruptFile(f"{instance_dir / name}: its sha256 is not the one "
+                              "recorded in manifest.json")
     spec = harness.InstanceSpec(
         m=manifest["spec"]["m"], n=manifest["spec"]["n"],
         k_star=manifest["spec"]["k_star"],
@@ -469,12 +480,12 @@ def main(argv=None):
         return EXIT_BAD_CONFIG if exc.code not in (0, None) else 0
     try:
         return args.func(args)
+    except OSError as exc:  # before LqsolveError: CorruptFile is both
+        print(f"I/O error: {exc}", file=sys.stderr)
+        return EXIT_IO
     except (LqsolveError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_CONFIG
-    except OSError as exc:
-        print(f"I/O error: {exc}", file=sys.stderr)
-        return EXIT_IO
 
 
 if __name__ == "__main__":

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AsymmetricMatrix, ConvergenceFailure, DimensionMismatch, InvalidInstance
+from .errors import AsymmetricMatrix, DimensionMismatch, InvalidInstance
 
 
 def as_vector(v, name="vector"):
@@ -86,30 +86,12 @@ def l_max(A):
     return float(np.max(column_norms_sq(A)))
 
 
-def spectral_norm_sq(A, tol=1e-10, max_iter=50_000):
-    """Squared spectral norm ||A||_2^2 via power iteration on A^T A.
-
-    The start vector is the normalized all-ones vector so results are
-    reproducible without seed plumbing.  ``tol`` is relative on the
-    Rayleigh quotient between consecutive iterations.
-    """
+def spectral_norm_sq(A):
+    """Squared spectral norm ||A||_2^2, the largest eigenvalue of the smaller
+    Gram matrix (A A^T when A is wide, A^T A otherwise), from LAPACK."""
     A = as_matrix(A, "A")
-    g = A.T @ A
-    n = g.shape[0]
-    v = np.full(n, 1.0 / np.sqrt(n))
-    lam = 0.0
-    for _ in range(max_iter):
-        w = g @ v
-        norm = np.linalg.norm(w)
-        if norm == 0.0:
-            return 0.0
-        v = w / norm
-        lam_new = float(v @ (g @ v))
-        if abs(lam_new - lam) <= tol * max(1.0, abs(lam_new)):
-            return lam_new
-        lam = lam_new
-    raise ConvergenceFailure(
-        f"power iteration did not reach rel. tol {tol} in {max_iter} iterations")
+    g = A @ A.T if A.shape[0] < A.shape[1] else A.T @ A
+    return float(np.linalg.eigvalsh(g)[-1])
 
 
 def min_eig_symmetric(M, tol=1e-10):

@@ -10,7 +10,7 @@ class DimensionMismatch(LqsolveError, ValueError):
 
 
 class ConvergenceFailure(LqsolveError, RuntimeError):
-    """An iterative routine exhausted its iteration cap."""
+    """An iterative routine failed to converge (the prox root-finder stalled)."""
 
 
 class AsymmetricMatrix(LqsolveError, ValueError):
@@ -23,3 +23,7 @@ class NotStationary(LqsolveError, ValueError):
 
 class InvalidInstance(LqsolveError, ValueError):
     """Problem data violates its invariants (non-finite entries, bad parameters)."""
+
+
+class CorruptFile(LqsolveError, OSError):
+    """A file read from disk does not match the checksum recorded for it."""

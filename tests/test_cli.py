@@ -44,6 +44,7 @@ class TestGen:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["spec"]["m"] == 20 and manifest["seed"] == 7
         assert len(manifest["spec_hash"]) == 64
+        assert set(manifest["sha256"]) == {"A.csv", "y.csv", "x_true.csv"}
 
     def test_round_trip_through_load(self, tmp_path):
         out = tmp_path / "inst"
@@ -206,6 +207,23 @@ class TestExitCodes:
         code = run_cli("solve", "--instance-dir", str(tmp_path / "nope"),
                        "--out-dir", str(tmp_path), "--quiet")
         assert code == 3
+
+    def test_corrupted_instance_file(self, tmp_path, instance_dir, capsys):
+        solve = ("solve", "--instance-dir", str(instance_dir),
+                 "--out-dir", str(tmp_path / "run"), "--quiet")
+        a_csv = instance_dir / "A.csv"
+        lines = a_csv.read_text().splitlines(keepends=True)
+        first = lines[1].rstrip("\n")  # one digit of the first row; header still fits
+        lines[1] = first[:-1] + str((int(first[-1]) + 1) % 10) + "\n"
+        a_csv.write_text("".join(lines))
+        assert run_cli(*solve) == 3
+        assert "A.csv" in capsys.readouterr().err
+        manifest_path = instance_dir / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        del manifest["sha256"]  # a manifest that records no hashes verifies nothing
+        manifest_path.write_text(json.dumps(manifest))
+        assert run_cli(*solve) == 3
+        assert "sha256" in capsys.readouterr().err
 
     def test_certify_non_stationary(self, tmp_path, instance_dir, capsys):
         bad = tmp_path / "bad.csv"

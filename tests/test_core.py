@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from lqsolve.core import (ProblemInstance, column_norms_sq, l_max,
                           min_eig_symmetric, objective, spectral_norm_sq)
 from lqsolve.errors import AsymmetricMatrix, DimensionMismatch, InvalidInstance
+from lqsolve.harness import InstanceSpec, generate_instance
 
 from conftest import jacobi_eigenvalues
 
@@ -38,9 +39,17 @@ class TestSpectralNorm:
         assert spectral_norm_sq(np.zeros((3, 3))) == 0.0
 
     def test_agrees_with_dense_eigensolve(self, rng):
-        a = rng.standard_normal((10, 20))
-        expected = float(np.max(np.linalg.eigvalsh(a.T @ a)))
-        assert spectral_norm_sq(a) == pytest.approx(expected, rel=1e-8)
+        # the SVD's largest singular value, squared; wide inputs take the
+        # A A^T branch, tall ones the A^T A branch
+        inputs = {
+            "wide": rng.standard_normal((10, 20)),
+            "paper instance": generate_instance(InstanceSpec(250, 500, 15, seed=0)).A,
+            "tall": rng.standard_normal((40, 15)),
+            "rank 3": rng.standard_normal((30, 3)) @ rng.standard_normal((3, 20)),
+        }
+        for name, a in inputs.items():
+            expected = np.linalg.norm(a, 2) ** 2
+            assert spectral_norm_sq(a) == pytest.approx(expected, rel=1e-12), name
 
     def test_dominates_column_norms(self, rng):
         # ||A||_2^2 >= max_i ||A_i||^2 always

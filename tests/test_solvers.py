@@ -6,6 +6,7 @@ import pytest
 from lqsolve import _csweep, solvers
 from lqsolve.core import ProblemInstance, l_max, objective, spectral_norm_sq
 from lqsolve.errors import ConvergenceFailure, DimensionMismatch, InvalidInstance
+from lqsolve.harness import InstanceSpec, generate_instance
 from lqsolve.prox import ProxParams, prox_vector
 from lqsolve.solvers import (IterateChange, IterationTrace, RmseVsReference,
                              SolverConfig, SolverState, SweepCapOnly,
@@ -327,6 +328,15 @@ class TestJaita:
                              SolverConfig(mu=mu, max_sweeps=500))
         assert trace.flags["diverged"]
         assert trace.flags["mu_warning"]
+
+    def test_mu_warning_at_the_exact_bound(self):
+        # the flag must not rest on an underestimate of ||A||_2^2
+        p = generate_instance(InstanceSpec(250, 500, 15, seed=0)).problem(0.001, 0.5)
+        sigma_sq = np.linalg.norm(p.A, 2) ** 2
+        for factor, warned in ((1 + 1e-9, True), (1 - 1e-9, False)):
+            _, trace = jaita_run(p, np.zeros(p.n),
+                                 SolverConfig(mu=factor / sigma_sq, max_sweeps=0))
+            assert trace.flags["mu_warning"] is warned, factor
 
     def test_agrees_with_cyclic_limit(self):
         # both solvers can land on different stationary points of the
