@@ -89,7 +89,7 @@ def load():
     sweep.restype = prox.restype = ctypes.c_int64
     sweep.argtypes = ([ctypes.c_void_p, ctypes.c_int64, ctypes.c_int64]
                       + [ctypes.c_void_p] * 3 + [ctypes.c_double] * 6
-                      + [ctypes.c_void_p])
+                      + [ctypes.c_void_p] * 2)
     prox.argtypes = ([ctypes.c_int64] + [ctypes.c_void_p] * 2
                      + [ctypes.c_double] * 5 + [ctypes.c_void_p])
     return sweep, prox, ddot

@@ -6,6 +6,9 @@ full-gradient step.  One *sweep* means N coordinate updates for the
 cyclic solver and one full-vector update for the Jacobi one.  Both run in
 one loop, which refreshes the residual once per sweep, applies the stop
 rules and one divergence guard, and records traces at sweep granularity.
+The C sweep screens: it leaves a zero coordinate alone, without its
+column's dot product, while a bound on that product proves the
+coordinate would stay zero, which leaves every output unchanged.
 """
 
 import csv
@@ -190,28 +193,47 @@ def gaita_update(state, p, config):
                        objective=objective_from_residual(p, x_new, r_new))
 
 
-def _sweep_python(A, x, r, mu, c, q, tau, eta, tol):
+def _sweep_python(A, x, r, mu, c, q, tau, eta, tol, screen=None):
     """One cyclic sweep in place on x and r; returns the largest change.
 
     The oracle for _sweep_c, and the backend where the C kernel cannot load.
+    It computes every coordinate, so it ignores ``screen``: skipping a
+    coordinate that screening proves stays zero gives the same bits.
+    Floating-point warnings are silenced, as in C: a non-finite forward
+    step ends in the same ConvergenceFailure on both backends.
     """
     n_dim = A.shape[1]
     params = ProxParams(c=c, q=q)
     max_step = 0.0
-    for i in range(n_dim):
-        z = x[i] - mu * np.dot(A[:, i], r)
-        xi = prox_scalar(z, x[i], params, tol)
-        d = xi - x[i]
-        if d != 0.0:
-            r += d * A[:, i]
-            x[i] = xi
-            if abs(d) > max_step:
-                max_step = abs(d)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(n_dim):
+            z = x[i] - mu * np.dot(A[:, i], r)
+            xi = prox_scalar(z, x[i], params, tol)
+            d = xi - x[i]
+            if d != 0.0:
+                r += d * A[:, i]
+                x[i] = xi
+                if abs(d) > max_step:
+                    max_step = abs(d)
     return max_step
 
 
-def _sweep_c(A, x, r, mu, c, q, tau, eta, tol):
-    """The C kernel in _sweep.c; same arguments and bits as _sweep_python."""
+def new_screen(A):
+    """Screening state for one run of the C sweep on A (see _sweep.c)."""
+    m, n_dim = A.shape
+    state = np.zeros(3 * n_dim + m + 1)
+    state[:n_dim] = np.linalg.norm(A, axis=0) * (1.0 + 1e-10)  # rounded up
+    state[n_dim:2 * n_dim] = np.inf  # no dot product computed yet
+    return state
+
+
+def _sweep_c(A, x, r, mu, c, q, tau, eta, tol, screen=None):
+    """The C kernel in _sweep.c; same arguments and bits as _sweep_python.
+
+    ``screen`` is None, or new_screen(A) carried from sweep to sweep of
+    one run, with only the kernel and the refresh of r touching x and r
+    in between.
+    """
     if A.dtype != np.float64 or A.ndim != 2 or not A.flags.f_contiguous:
         raise InvalidInstance("the C sweep needs a Fortran-ordered float64 matrix")
     for v in (x, r):
@@ -223,10 +245,14 @@ def _sweep_c(A, x, r, mu, c, q, tau, eta, tol):
         raise DimensionMismatch(
             f"x and r have lengths {x.shape[0]} and {r.shape[0]}, "
             f"expected {n_dim} and {m}")
+    if screen is not None and (screen.dtype != np.float64 or not screen.flags.c_contiguous
+                               or screen.shape != (3 * n_dim + m + 1,)):
+        raise InvalidInstance("the screening state does not fit this matrix")
     out = np.empty(2)
     failed = _csweep.lq_sweep(_csweep.ddot, m, n_dim, A.ctypes.data,
                               x.ctypes.data, r.ctypes.data, mu, c, q, tau, eta,
-                              tol, out.ctypes.data)
+                              tol, out.ctypes.data,
+                              None if screen is None else screen.ctypes.data)
     if failed >= 0:
         raise stalled(out[1])
     return float(out[0])
@@ -246,8 +272,8 @@ def sweep_backend():
 # ---------------------------------------------------------------------------
 # run loops
 
-def _rmse_vs(x, ref):
-    return float(np.linalg.norm(x - ref) / np.linalg.norm(ref))
+def _rmse_vs(x, ref, ref_norm):
+    return float(np.linalg.norm(x - ref) / ref_norm)
 
 
 def _run(p, x0, config, algorithm, step, mu_bound, updates_per_sweep):
@@ -261,6 +287,7 @@ def _run(p, x0, config, algorithm, step, mu_bound, updates_per_sweep):
     """
     state = SolverState.initial(p, x0)
     ref = config.reference()
+    ref_norm = np.linalg.norm(ref) if ref is not None else None  # once per run
     trace = IterationTrace()
     trace.flags = {
         "algorithm": algorithm,
@@ -275,7 +302,7 @@ def _run(p, x0, config, algorithm, step, mu_bound, updates_per_sweep):
 
     t0 = time.perf_counter()
     elapsed = lambda: time.perf_counter() - t0 if config.timing else 0.0
-    rmse = _rmse_vs(state.x, ref) if ref is not None else math.nan
+    rmse = _rmse_vs(state.x, ref, ref_norm) if ref is not None else math.nan
     trace.record(0, 0, state.objective, math.nan, state.x, rmse, 0.0,
                  config.record_iterates)
 
@@ -286,9 +313,9 @@ def _run(p, x0, config, algorithm, step, mu_bound, updates_per_sweep):
         step_metric = step(x, r)
         r[:] = p.A @ x - p.y  # per-sweep refresh bounds rank-1 drift
         state.objective = objective_from_residual(p, x, r)
-        rmse = _rmse_vs(x, ref) if ref is not None else math.nan
+        rmse = _rmse_vs(x, ref, ref_norm) if ref is not None else math.nan
 
-        diverged = state.objective > guard
+        diverged = not (state.objective <= guard)
         stop = False
         if isinstance(config.stop_rule, IterateChange):
             stop = step_metric <= config.stop_rule.tol
@@ -325,10 +352,11 @@ def gaita_run(p, x0, config):
     exceeds 1e6 times its initial value.
     """
     params = ProxParams(c=p.lam * config.mu, q=p.q)
+    screen = new_screen(p.A)
 
     def sweep(x, r):
         return _sweep(p.A, x, r, config.mu, params.c, params.q,
-                      params.tau, params.eta, config.prox_tol)
+                      params.tau, params.eta, config.prox_tol, screen)
 
     return _run(p, x0, config, "gaita", sweep, core.l_max, p.n)
 

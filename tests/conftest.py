@@ -3,7 +3,8 @@
 The oracles here deliberately avoid the library code paths they check:
 grid search for the scalar thresholding operator, the closed-form
 half-thresholding formula for q = 1/2, cyclic Jacobi rotations for
-eigenvalues, and plain bisection for the monotone scalar equation.
+eigenvalues, plain bisection for the monotone scalar equation, and a run
+loop that computes every sweep.
 """
 
 import math
@@ -11,8 +12,11 @@ import math
 import numpy as np
 import pytest
 
-from lqsolve.core import ProblemInstance
+from lqsolve import solvers
+from lqsolve.core import (ProblemInstance, l_max, objective_from_residual,
+                          spectral_norm_sq)
 from lqsolve.harness import InstanceSpec, generate_instance
+from lqsolve.prox import ProxParams, prox_vector
 
 
 def grid_prox_oracle(z, c, q, resolution=1e-4):
@@ -79,6 +83,64 @@ def jacobi_eigenvalues(m, sweeps=100, tol=1e-14):
         if off < tol:
             break
     return np.sort(np.diag(a))
+
+
+def plain_run(p, x0, config, algorithm):
+    """The solvers' run loop with nothing skipped: every sweep runs the
+    kernel (gaita: ``solvers._sweep`` with no screening state, so every
+    column's dot product is computed; jaita: one thresholded gradient
+    step), then r = A x - y, the objective and the RMSE.  Returns
+    (x, r, objective, trace) for bit-for-bit comparison with
+    gaita_run / jaita_run."""
+    params = ProxParams(c=p.lam * config.mu, q=p.q)
+    x = np.array(x0, dtype=np.float64)
+    r = p.A @ x - p.y
+    obj = objective_from_residual(p, x, r)
+    ref = config.reference()
+    rmse = lambda: (float(np.linalg.norm(x - ref) / np.linalg.norm(ref))
+                    if ref is not None else math.nan)
+    bound = l_max if algorithm == "gaita" else spectral_norm_sq
+    per_sweep = p.n if algorithm == "gaita" else 1
+    trace = solvers.IterationTrace()
+    trace.flags = {"algorithm": algorithm,
+                   "mu_warning": bool(config.mu >= 1.0 / bound(p.A)),
+                   "converged": False, "diverged": False,
+                   "did_not_converge": False, "sweeps": 0}
+    guard = 1e6 * obj if obj > 0 else 1e6
+    trace.record(0, 0, obj, math.nan, x, rmse(), 0.0, config.record_iterates)
+    x_rec = x.copy()
+    sweep = 0
+    for sweep in range(1, config.max_sweeps + 1):
+        if algorithm == "gaita":
+            step = solvers._sweep(p.A, x, r, config.mu, params.c, params.q,
+                                  params.tau, params.eta, config.prox_tol)
+        else:
+            x_new = prox_vector(x - config.mu * (p.A.T @ r), x, params,
+                                config.prox_tol)
+            step = float(np.linalg.norm(x_new - x))
+            x[:] = x_new
+        r = p.A @ x - p.y
+        obj = objective_from_residual(p, x, r)
+        e = rmse()
+        diverged = not obj <= guard
+        rule = config.stop_rule
+        stop = (step <= rule.tol if isinstance(rule, solvers.IterateChange)
+                else e <= rule.tol if isinstance(rule, solvers.RmseVsReference)
+                else False)
+        if (stop or diverged or sweep % config.record_every == 0
+                or sweep == config.max_sweeps):
+            trace.record(sweep, sweep * per_sweep, obj,
+                         float(np.linalg.norm(x - x_rec)), x, e, 0.0,
+                         config.record_iterates)
+            x_rec = x.copy()
+        if diverged or stop:
+            trace.flags["diverged" if diverged else "converged"] = True
+            break
+    else:
+        trace.flags["did_not_converge"] = not isinstance(
+            config.stop_rule, solvers.SweepCapOnly)
+    trace.flags["sweeps"] = sweep
+    return x, r, obj, trace
 
 
 def small_problem(seed=0, m=20, n=40, k=4, lam=0.01, q=0.5, snr_db=None):

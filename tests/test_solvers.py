@@ -1,4 +1,7 @@
+import contextlib
+import ctypes
 import shutil
+import warnings
 
 import numpy as np
 import pytest
@@ -14,7 +17,7 @@ from lqsolve.solvers import (IterateChange, IterationTrace, RmseVsReference,
                              gaita_update, jaita_run, jaita_update,
                              select_index)
 
-from conftest import bisect_root, small_problem
+from conftest import bisect_root, plain_run, small_problem
 
 
 class TestSelectIndex:
@@ -152,15 +155,16 @@ class TestGaitaRun:
             mu = factor / l_max(p.A)
             params = ProxParams(c=p.lam * mu, q=p.q)
             args = (mu, params.c, params.q, params.tau, params.eta, 1e-12)
-            x, xp = np.zeros(p.n), np.zeros(p.n)
-            r, rp = p.A @ x - p.y, p.A @ xp - p.y
-            for sweep in range(sweeps):
-                step = solvers._sweep(p.A, x, r, *args)
-                assert step == _sweep_python(p.A, xp, rp, *args), (q, sweep)
-                assert x.tobytes() == xp.tobytes(), (q, sweep)
-                assert r.tobytes() == rp.tobytes(), (q, sweep)
-                r[:] = p.A @ x - p.y
-                rp[:] = p.A @ xp - p.y
+            for screen in (None, solvers.new_screen(p.A)):
+                x, xp = np.zeros(p.n), np.zeros(p.n)
+                r, rp = p.A @ x - p.y, p.A @ xp - p.y
+                for sweep in range(sweeps):
+                    step = solvers._sweep(p.A, x, r, *args, screen)
+                    assert step == _sweep_python(p.A, xp, rp, *args), (q, sweep)
+                    assert x.tobytes() == xp.tobytes(), (q, sweep)
+                    assert r.tobytes() == rp.tobytes(), (q, sweep)
+                    r[:] = p.A @ x - p.y
+                    rp[:] = p.A @ xp - p.y
 
     def test_run_is_the_same_on_both_backends(self, monkeypatch):
         if solvers._sweep is _sweep_python:
@@ -243,11 +247,14 @@ def test_stalled_prox_raises(name, monkeypatch):
     x, r = np.zeros(3), np.full(4, 1e308)
     params = ProxParams(c=0.01, q=0.5)
     stalled = r"^prox root-finder stalled at z_abs=inf$"
-    with pytest.raises(ConvergenceFailure, match=stalled):
-        sweep(A, x, r, 1.0, params.c, params.q, params.tau, params.eta, 1e-12)
-    assert np.array_equal(x, np.zeros(3))
-    with pytest.raises(ConvergenceFailure, match=stalled):
-        prox_vector(np.array([0.5, -np.inf]), np.zeros(2), params)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(ConvergenceFailure, match=stalled):
+            sweep(A, x, r, 1.0, params.c, params.q, params.tau, params.eta, 1e-12)
+        assert np.array_equal(x, np.zeros(3))
+        with pytest.raises(ConvergenceFailure, match=stalled):
+            prox_vector(np.array([0.5, -np.inf]), np.zeros(2), params)
+    assert [str(w.message) for w in caught] == []  # silent on both backends
 
 
 @pytest.mark.parametrize("bad, error", [
@@ -364,6 +371,165 @@ def test_step_norm_spans_skipped_sweeps(run, bound, factor):
     assert len(it) == 8  # sweeps 0, 3, ..., 18 and the final sweep 20
     for k in range(1, len(it)):
         assert trace.rows[k][3] == np.linalg.norm(it[k] - it[k - 1])
+
+
+@pytest.fixture(scope="module")
+def noisy_instance():
+    """The 250x500x15 instance of the mu_sweep preset at seed 0 (30 dB)."""
+    return generate_instance(InstanceSpec(250, 500, 15, snr_db=30.0, seed=0))
+
+
+_DDOT = ctypes.CFUNCTYPE(ctypes.c_double, ctypes.c_int64, ctypes.c_void_p,
+                         ctypes.c_int64, ctypes.c_void_p, ctypes.c_int64)
+
+
+@contextlib.contextmanager
+def counting_ddot(monkeypatch):
+    """Count the column dot products the C sweep computes inside the block."""
+    if solvers._sweep is _sweep_python:
+        pytest.skip(f"no compiled sweep: {solvers.sweep_backend()}")
+    real = _DDOT(_csweep.ddot)
+    calls = []
+
+    def counted(n, x, incx, y, incy):
+        calls.append(None)
+        return real(n, x, incx, y, incy)
+
+    callback = _DDOT(counted)
+    with monkeypatch.context() as patch:
+        patch.setattr(_csweep, "ddot", ctypes.cast(callback, ctypes.c_void_p).value)
+        yield calls
+
+
+def _assert_same_run(got, want):
+    (state, trace), (x, r, obj, ref) = got, want
+    assert repr(trace.rows) == repr(ref.rows)
+    assert [s.tobytes() for s in trace.signs] == [s.tobytes() for s in ref.signs]
+    assert [a.tobytes() for a in trace.iterates] == [a.tobytes() for a in ref.iterates]
+    assert trace.flags == ref.flags
+    assert state.x.tobytes() == x.tobytes()
+    assert state.residual.tobytes() == r.tobytes()
+    assert repr(state.objective) == repr(obj)
+
+
+class TestScreening:
+    """The C sweep skips the dot product of a zero coordinate that a bound
+    proves stays zero, with every output equal to the plain loop's."""
+
+    # (q, mu, cap) on noisy_instance at lam = 0.009: x reaches a fixed
+    # point at sweep 108, a cycle of period 10 at sweep 39, and for
+    # (0.9, 0.95) never repeats, with 7 zero coordinates within 10% of
+    # the threshold, so their bounds reach it and they are recomputed
+    CELLS = [(0.5, 0.5, 200), (0.5, 0.95, 120), (0.9, 0.95, 400)]
+    RULES = {"cap": lambda inst: SweepCapOnly(),
+             "rmse": lambda inst: RmseVsReference(1e-2, inst.x_true)}
+
+    @pytest.mark.parametrize("rule", sorted(RULES))
+    @pytest.mark.parametrize("q, mu, cap", CELLS)
+    def test_gaita_matches_plain_loop(self, noisy_instance, q, mu, cap, rule):
+        p = noisy_instance.problem(0.009, q)
+        for every in (1, 3, 7):
+            for iterates in (False, True):
+                config = SolverConfig(
+                    mu=mu, max_sweeps=cap, record_every=every,
+                    stop_rule=self.RULES[rule](noisy_instance),
+                    trace_reference=noisy_instance.x_true,
+                    record_iterates=iterates)
+                _assert_same_run(gaita_run(p, np.zeros(p.n), config),
+                                 plain_run(p, np.zeros(p.n), config, "gaita"))
+
+    @pytest.mark.parametrize("q, mu, cap", CELLS)
+    def test_screening_skips_most_dot_products(self, noisy_instance, monkeypatch,
+                                               q, mu, cap):
+        p = noisy_instance.problem(0.009, q)
+        config = SolverConfig(mu=mu, max_sweeps=cap, stop_rule=SweepCapOnly())
+        with counting_ddot(monkeypatch) as calls:
+            got = gaita_run(p, np.zeros(p.n), config)
+        assert len(calls) < 0.25 * cap * p.n
+        _assert_same_run(got, plain_run(p, np.zeros(p.n), config, "gaita"))
+
+    def test_screening_sees_r_move_between_sweeps(self, noisy_instance):
+        # at the fixed point every zero coordinate is screened; then r is
+        # pushed along one zero column until that coordinate must enter
+        p = noisy_instance.problem(0.009, 0.5)
+        mu = 0.5
+        params = ProxParams(c=p.lam * mu, q=p.q)
+        args = (mu, params.c, params.q, params.tau, params.eta, 1e-12)
+        screen = solvers.new_screen(p.A)
+        x = np.zeros(p.n)
+        r = p.A @ x - p.y
+        for _ in range(150):
+            solvers._sweep_c(p.A, x, r, *args, screen)
+            r[:] = p.A @ x - p.y
+        j = int(np.flatnonzero(x == 0.0)[0])
+        col = p.A[:, j]
+        r += 2.0 * params.tau / mu * col / (col @ col)
+        xp, rp = x.copy(), r.copy()
+        step = solvers._sweep_c(p.A, x, r, *args, screen)
+        assert step == _sweep_python(p.A, xp, rp, *args)
+        assert x.tobytes() == xp.tobytes() and r.tobytes() == rp.tobytes()
+        assert x[j] != 0.0
+
+    def test_kernel_without_state_computes_every_column(self, noisy_instance,
+                                                        monkeypatch):
+        p = noisy_instance.problem(0.009, 0.5)
+        params = ProxParams(c=p.lam * 0.5, q=p.q)
+        x = np.zeros(p.n)
+        r = p.A @ x - p.y
+        with counting_ddot(monkeypatch) as calls:
+            for _ in range(3):
+                solvers._sweep_c(p.A, x, r, 0.5, params.c, params.q, params.tau,
+                                 params.eta, 1e-12)
+        assert len(calls) == 3 * p.n
+
+    def test_state_must_fit_the_matrix(self):
+        if solvers._sweep is _sweep_python:
+            pytest.skip(f"no compiled sweep: {solvers.sweep_backend()}")
+        p, _ = small_problem(seed=3)
+        x = np.zeros(p.n)
+        r = p.A @ x - p.y
+        with pytest.raises(InvalidInstance, match="screening state"):
+            solvers._sweep_c(p.A, x, r, 0.5, 0.01, 0.5, 0.1, 0.05, 1e-12,
+                             solvers.new_screen(p.A[:, 1:]))
+
+    @pytest.mark.parametrize("every", [1, 3, 7])
+    def test_jaita_matches_plain_loop(self, noisy_instance, every):
+        p = noisy_instance.problem(0.009, 0.5)
+        config = SolverConfig(mu=0.95 / spectral_norm_sq(p.A), max_sweeps=420,
+                              record_every=every, stop_rule=SweepCapOnly(),
+                              trace_reference=noisy_instance.x_true,
+                              record_iterates=True)
+        _assert_same_run(jaita_run(p, np.zeros(p.n), config),
+                         plain_run(p, np.zeros(p.n), config, "jaita"))
+
+    def test_converging_run_matches_plain_loop(self):
+        p, _ = small_problem(seed=11)
+        config = SolverConfig(mu=0.95 / l_max(p.A), record_every=4)
+        got = gaita_run(p, np.zeros(p.n), config)
+        assert got[1].flags["converged"]
+        _assert_same_run(got, plain_run(p, np.zeros(p.n), config, "gaita"))
+
+
+@pytest.mark.parametrize("run", [gaita_run, jaita_run])
+def test_nan_objective_is_divergence(run, monkeypatch):
+    # no real input was found that makes the objective NaN before the prox
+    # stalls; the guard must still catch one rather than run to the cap
+    real = solvers.objective_from_residual
+    calls = []
+
+    def nan_from_sweep_5(p, x, r):
+        calls.append(None)
+        return real(p, x, r) if len(calls) <= 5 else float("nan")
+
+    monkeypatch.setattr(solvers, "objective_from_residual", nan_from_sweep_5)
+    p, _ = small_problem(seed=3)
+    bound = l_max if run is gaita_run else spectral_norm_sq
+    _, trace = run(p, np.zeros(p.n),
+                   SolverConfig(mu=0.5 / bound(p.A), max_sweeps=100,
+                                stop_rule=SweepCapOnly()))
+    assert trace.flags["diverged"] and trace.flags["sweeps"] == 5
+    assert not trace.flags["converged"]
+    assert np.isnan(trace.rows[-1][2])
 
 
 class TestTraceIO:
