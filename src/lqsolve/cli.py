@@ -12,6 +12,7 @@ certify ran on a non-stationary point.
 
 import argparse
 import hashlib
+import io
 import json
 import os
 import sys
@@ -41,10 +42,15 @@ def write_array(path, a):
             fh.write(",".join(format_float(v) for v in row) + "\n")
 
 
-def read_array(path):
-    with open(path) as fh:
-        rows, cols = (int(t) for t in fh.readline().strip().split(","))
-        a = np.loadtxt(fh, delimiter=",", ndmin=2)
+def read_array(path, sha256=None):
+    """Read an array file once; when ``sha256`` is given, the bytes read must
+    have that digest, and those same bytes are parsed."""
+    data = Path(path).read_bytes()
+    if sha256 is not None and hashlib.sha256(data).hexdigest() != sha256:
+        raise CorruptFile(f"{path}: its sha256 is not the one recorded in manifest.json")
+    fh = io.BytesIO(data)
+    rows, cols = (int(t) for t in fh.readline().split(b","))
+    a = np.loadtxt(fh, delimiter=",", ndmin=2)
     if a.shape != (rows, cols):
         raise LqsolveError(f"{path}: header says {rows}x{cols}, data is {a.shape}")
     return a
@@ -54,8 +60,8 @@ def write_vector(path, v):
     write_array(path, np.asarray(v).reshape(-1, 1))
 
 
-def read_vector(path):
-    return read_array(path).reshape(-1)
+def read_vector(path, sha256=None):
+    return read_array(path, sha256).reshape(-1)
 
 
 def _file_sha256(path):
@@ -103,19 +109,22 @@ def load_instance(instance_dir):
     with open(instance_dir / "manifest.json") as fh:
         manifest = json.load(fh)
     recorded = manifest.get("sha256", {})
-    for name in manifest["files"].values():
-        if _file_sha256(instance_dir / name) != recorded.get(name):
-            raise CorruptFile(f"{instance_dir / name}: its sha256 is not the one "
-                              "recorded in manifest.json")
+
+    def read(kind, reader):
+        name = manifest["files"][kind]
+        if name not in recorded:
+            raise CorruptFile(f"{instance_dir / name}: manifest.json records no "
+                              "sha256 for it")
+        return reader(instance_dir / name, recorded[name])
+
     spec = harness.InstanceSpec(
         m=manifest["spec"]["m"], n=manifest["spec"]["n"],
         k_star=manifest["spec"]["k_star"],
         column_normalize=manifest["spec"]["column_normalize"],
         snr_db=manifest["spec"]["snr_db"], seed=manifest["spec"]["seed"])
-    a = read_array(instance_dir / manifest["files"]["matrix"])
-    y = read_vector(instance_dir / manifest["files"]["observation"])
-    x_true = read_vector(instance_dir / manifest["files"]["ground_truth"])
-    return harness.GeneratedInstance(spec=spec, A=a, y=y, x_true=x_true)
+    return harness.GeneratedInstance(
+        spec=spec, A=read("matrix", read_array), y=read("observation", read_vector),
+        x_true=read("ground_truth", read_vector))
 
 
 # ---------------------------------------------------------------------------
@@ -145,13 +154,13 @@ def _resolved(args, file_cfg, fields):
     return out
 
 
-def _instance_from(cfg, seed):
+def _instance_from(cfg):
     if cfg.get("instance_dir"):
         return load_instance(cfg["instance_dir"])
     spec = harness.InstanceSpec(
         m=cfg["m"], n=cfg["n"], k_star=cfg["k"],
         column_normalize=cfg["column_normalize"],
-        snr_db=cfg["snr_db"], seed=seed)
+        snr_db=cfg["snr_db"], seed=cfg["seed"])
     return harness.generate_instance(spec)
 
 
@@ -159,16 +168,11 @@ def _instance_from(cfg, seed):
 # subcommands
 
 def cmd_gen(args):
-    file_cfg = _load_config_file(args)
-    cfg = _resolved(args, file_cfg, {
+    cfg = _resolved(args, _load_config_file(args), {
         "m": 250, "n": 500, "k": 15, "snr_db": None, "column_normalize": True,
+        "seed": 0,
     })
-    seed = args.seed if args.seed is not None else file_cfg.get("seed", 0)
-    spec = harness.InstanceSpec(m=cfg["m"], n=cfg["n"], k_star=cfg["k"],
-                                column_normalize=cfg["column_normalize"],
-                                snr_db=cfg["snr_db"], seed=seed)
-    inst = harness.generate_instance(spec)
-    manifest = save_instance(_out_dir(args), inst)
+    manifest = save_instance(_out_dir(args), _instance_from(cfg))
     if not args.quiet:
         print(f"instance written to {_out_dir(args)} (hash {manifest['spec_hash'][:12]})")
     return EXIT_OK
@@ -178,7 +182,7 @@ SOLVE_FIELDS = {
     "m": 250, "n": 500, "k": 15, "snr_db": None, "column_normalize": True,
     "instance_dir": None, "algorithm": "gaita", "lam": 0.001, "q": 0.5,
     "mu": None, "max_sweeps": 10_000, "stop": "iterate_change", "tol": 1e-10,
-    "record_every": 1, "timing": False,
+    "record_every": 1, "timing": False, "seed": 0,
 }
 
 
@@ -192,22 +196,21 @@ def _build_solver_config(cfg, inst):
     if cfg["stop"] == "iterate_change":
         stop = solvers.IterateChange(cfg["tol"])
     elif cfg["stop"] == "rmse":
-        stop = solvers.RmseVsReference(cfg["tol"], inst.x_true)
+        stop = solvers.RmseVsReference(cfg["tol"])
     elif cfg["stop"] == "cap":
         stop = solvers.SweepCapOnly()
     else:
         raise LqsolveError(f"unknown stop rule {cfg['stop']!r}")
     return solvers.SolverConfig(
         mu=mu, max_sweeps=cfg["max_sweeps"], stop_rule=stop,
-        record_every=cfg["record_every"], trace_reference=inst.x_true,
+        record_every=cfg["record_every"],
+        reference=inst.x_true if np.any(inst.x_true) else None,
         timing=cfg["timing"]), mu
 
 
 def cmd_solve(args):
-    file_cfg = _load_config_file(args)
-    cfg = _resolved(args, file_cfg, SOLVE_FIELDS)
-    seed = args.seed if args.seed is not None else file_cfg.get("seed", 0)
-    inst = _instance_from(cfg, seed)
+    cfg = _resolved(args, _load_config_file(args), SOLVE_FIELDS)
+    inst = _instance_from(cfg)
     p = inst.problem(cfg["lam"], cfg["q"])
     sconf, mu = _build_solver_config(cfg, inst)
     run = solvers.gaita_run if cfg["algorithm"] == "gaita" else solvers.jaita_run
@@ -217,13 +220,12 @@ def cmd_solve(args):
     out_dir.mkdir(parents=True, exist_ok=True)
     trace.to_csv(out_dir / "trace.csv")
     report = diagnostics.check_stationary(p, state.x, mu)
-    resolved = dict(cfg, mu=mu, seed=seed)
     summary = {
-        "config": resolved,
+        "config": dict(cfg, mu=mu),
         "flags": trace.flags,
         "final_objective": state.objective,
-        "final_rmse": harness.rmse(state.x, inst.x_true)
-        if np.any(inst.x_true) else None,
+        "final_rmse": harness.rmse(state.x, sconf.reference)
+        if sconf.reference is not None else None,
         "support_size": int(np.count_nonzero(state.x)),
         "stationarity": report.to_dict(),
     }
@@ -239,15 +241,25 @@ def cmd_solve(args):
     return EXIT_OK
 
 
-def _compare_overrides(args, file_cfg):
-    overrides = {}
-    for name in ("m", "n", "k_star", "lam", "max_sweeps"):
-        value = getattr(args, name if name != "k_star" else "k", None)
-        if value is None:
-            value = file_cfg.get(name)
-        if value is not None:
-            overrides[name] = value
-    return overrides
+PRESET_FIELDS = {"seed": 0, "m": None, "n": None, "k_star": None, "lam": None,
+                 "max_sweeps": None}
+
+
+def _run_preset(args, preset):
+    """Run a preset under the overrides given by flag or config file (--k
+    sets k_star); write {preset}_result.json and return (result, out_dir)."""
+    flags = argparse.Namespace(**dict(vars(args), k_star=args.k))
+    cfg = _resolved(flags, _load_config_file(args), PRESET_FIELDS)
+    seed = cfg.pop("seed")
+    overrides = {name: value for name, value in cfg.items() if value is not None}
+    result = harness.run_experiment(preset, overrides, seed)
+
+    out_dir = _out_dir(args)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    with open(out_dir / f"{preset}_result.json", "w") as fh:
+        fh.write(result.to_json())
+        fh.write("\n")
+    return result, out_dir
 
 
 def _ragged_csv(path, columns):
@@ -265,18 +277,7 @@ def _ragged_csv(path, columns):
 
 
 def cmd_compare(args):
-    file_cfg = _load_config_file(args)
-    seed = args.seed if args.seed is not None else file_cfg.get("seed", 0)
-    overrides = _compare_overrides(args, file_cfg)
-    result = harness.run_experiment(args.preset, overrides, seed)
-
-    out_dir = _out_dir(args)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    json_path = out_dir / f"{args.preset}_result.json"
-    with open(json_path, "w") as fh:
-        fh.write(result.to_json())
-        fh.write("\n")
-
+    result, out_dir = _run_preset(args, args.preset)
     csv_path = out_dir / f"{args.preset}_traces.csv"
     if args.preset == "fig4":
         with open(csv_path, "w") as fh:
@@ -298,21 +299,12 @@ def cmd_compare(args):
 
 
 def cmd_sweep(args):
-    file_cfg = _load_config_file(args)
-    seed = args.seed if args.seed is not None else file_cfg.get("seed", 0)
-    overrides = _compare_overrides(args, file_cfg)
-    result = harness.run_experiment("mu_sweep", overrides, seed)
-
-    out_dir = _out_dir(args)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    result, out_dir = _run_preset(args, "mu_sweep")
     with open(out_dir / "mu_sweep_cells.csv", "w") as fh:
         fh.write("q,mu,sweeps,converged,final_rmse\n")
         for run in result.runs:
             fh.write(f"{format_float(run.q)},{format_float(run.mu)},{run.sweeps},"
                      f"{run.converged},{format_float(run.final_rmse)}\n")
-    with open(out_dir / "mu_sweep_result.json", "w") as fh:
-        fh.write(result.to_json())
-        fh.write("\n")
     if not args.quiet:
         reached = sum(run.converged for run in result.runs)
         print(f"mu sweep: {reached}/{len(result.runs)} cells reached the "

@@ -60,6 +60,12 @@ def _support_of(x):
     return np.nonzero(x)[0]
 
 
+def _penalty_gradient(p, x):
+    """lam*q*sgn(x)*|x|^(q-1), the penalty's derivative at nonzero x; a
+    scalar for a scalar x, a vector for a vector."""
+    return p.lam * p.q * np.sign(x) * np.abs(x) ** (p.q - 1.0)
+
+
 def check_stationary(p, x, mu, tol=1e-8):
     """Evaluate the three fixed-point conditions at x; residuals in the report
     are absolute, per coordinate."""
@@ -75,7 +81,7 @@ def check_stationary(p, x, mu, tol=1e-8):
     if supp.size:
         xs = x[supp]
         min_mag = float(np.min(np.abs(xs)))
-        grad_supp = corr[supp] + p.lam * p.q * np.sign(xs) * np.abs(xs) ** (p.q - 1.0)
+        grad_supp = corr[supp] + _penalty_gradient(p, xs)
         max_grad = float(np.max(np.abs(grad_supp)))
     else:
         min_mag = float("inf")
@@ -115,8 +121,7 @@ def check_update_optimality(x_prev, x_next, p, mu, i, tol=1e-8):
     if abs(xi) < params.eta - tol:
         return False
     a_i = p.A[:, i]
-    grad_i = float(a_i @ (p.A @ x_next - p.y)) \
-        + p.lam * p.q * np.sign(xi) * abs(xi) ** (p.q - 1.0)
+    grad_i = float(a_i @ (p.A @ x_next - p.y)) + _penalty_gradient(p, xi)
     expected = (1.0 / mu - float(a_i @ a_i)) * (x_prev[i] - xi)
     return bool(abs(grad_i - expected) <= tol)
 
@@ -149,8 +154,7 @@ def check_relative_error(p, x_tail, mu, slack=0.0):
 
     for prev, nxt in zip(iterates, iterates[1:]):
         u_prev, u_next = prev[supp], nxt[supp]
-        grad = b.T @ (b @ u_next - p.y) \
-            + p.lam * p.q * np.sign(u_next) * np.abs(u_next) ** (p.q - 1.0)
+        grad = b.T @ (b @ u_next - p.y) + _penalty_gradient(p, u_next)
         lhs = float(np.linalg.norm(grad))
         rhs = bound_coef * float(np.linalg.norm(u_next - u_prev)) + slack
         if lhs > rhs:

@@ -189,7 +189,7 @@ def _run_fig1(overrides, seed):
     cfg = _resolve({
         "m": 250, "n": 500, "k_star": 15, "lam": 0.001, "mu": 0.95,
         "q_list": (0.5, 2.0 / 3.0), "max_sweeps": 2000,
-        "step_tol": 1e-10, "prox_tol": 1e-12,
+        "step_tol": 1e-10,
     }, overrides)
     inst = generate_instance(InstanceSpec(cfg["m"], cfg["n"], cfg["k_star"], seed=seed))
     runs = []
@@ -198,9 +198,8 @@ def _run_fig1(overrides, seed):
         for alg in ("gaita", "jaita"):
             runs.append(_solve(alg, p, cfg["mu"], inst.x_true,
                                max_sweeps=cfg["max_sweeps"],
-                               stop_rule=IterateChange(cfg["step_tol"]),
-                               prox_tol=cfg["prox_tol"]))
-    return ExperimentResult("fig1", seed, _jsonable(cfg), runs)
+                               stop_rule=IterateChange(cfg["step_tol"])))
+    return ExperimentResult("fig1", seed, cfg, runs)
 
 
 def _run_fig3(overrides, seed):
@@ -208,7 +207,7 @@ def _run_fig3(overrides, seed):
         "m": 250, "n": 500, "k_star": 15, "lam": 0.001,
         "q_list": (0.5, 2.0 / 3.0),
         "mu_gaita": 0.95, "max_sweeps": 2000, "max_sweeps_jaita": 10_000,
-        "step_tol": 1e-12, "prox_tol": 1e-12,
+        "step_tol": 1e-12,
     }, overrides)
     inst = generate_instance(InstanceSpec(cfg["m"], cfg["n"], cfg["k_star"], seed=seed))
     mu_jaita = 0.99 / core.spectral_norm_sq(inst.A)
@@ -219,21 +218,20 @@ def _run_fig3(overrides, seed):
                              ("jaita", mu_jaita, cfg["max_sweeps_jaita"])):
             rec = _solve(alg, p, mu, inst.x_true, max_sweeps=cap,
                          stop_rule=IterateChange(cfg["step_tol"]),
-                         prox_tol=cfg["prox_tol"],
-                         trace_reference=inst.x_true, record_iterates=True)
+                         reference=inst.x_true, record_iterates=True)
             rec.error_trace = [float(np.linalg.norm(x - inst.x_true))
                                for x in rec.trace.iterates]
             rec.error_trace_vs_limit = [float(np.linalg.norm(x - rec.final_x))
                                         for x in rec.trace.iterates]
             runs.append(rec)
-    return ExperimentResult("fig3", seed, _jsonable(cfg), runs)
+    return ExperimentResult("fig3", seed, cfg, runs)
 
 
 def _run_fig4(overrides, seed):
     cfg = _resolve({
         "m": 250, "n": 500, "k_star": 15, "lam": 0.001, "q": 0.5,
         "mu_list": FIG4_MU_GRID, "max_sweeps": 3000,
-        "step_tol": 1e-10, "prox_tol": 1e-12,
+        "step_tol": 1e-10,
     }, overrides)
     inst = generate_instance(InstanceSpec(cfg["m"], cfg["n"], cfg["k_star"], seed=seed))
     p = inst.problem(cfg["lam"], cfg["q"])
@@ -242,16 +240,15 @@ def _run_fig4(overrides, seed):
         for alg in ("gaita", "jaita"):
             runs.append(_solve(alg, p, mu, inst.x_true,
                                max_sweeps=cfg["max_sweeps"],
-                               stop_rule=IterateChange(cfg["step_tol"]),
-                               prox_tol=cfg["prox_tol"]))
-    return ExperimentResult("fig4", seed, _jsonable(cfg), runs)
+                               stop_rule=IterateChange(cfg["step_tol"])))
+    return ExperimentResult("fig4", seed, cfg, runs)
 
 
 def _run_mu_sweep(overrides, seed):
     cfg = _resolve({
         "m": 250, "n": 500, "k_star": 15, "lam": 0.009, "snr_db": 30.0,
         "mu_list": MU_GRID, "q_list": Q_GRID,
-        "rmse_tol": 1e-2, "max_sweeps": 5000, "prox_tol": 1e-12,
+        "rmse_tol": 1e-2, "max_sweeps": 5000,
     }, overrides)
     inst = generate_instance(InstanceSpec(cfg["m"], cfg["n"], cfg["k_star"],
                                           snr_db=cfg["snr_db"], seed=seed))
@@ -261,20 +258,11 @@ def _run_mu_sweep(overrides, seed):
         for mu in cfg["mu_list"]:
             rec = _solve("gaita", p, mu, inst.x_true,
                          max_sweeps=cfg["max_sweeps"],
-                         stop_rule=RmseVsReference(cfg["rmse_tol"], inst.x_true),
-                         prox_tol=cfg["prox_tol"])
+                         stop_rule=RmseVsReference(cfg["rmse_tol"]),
+                         reference=inst.x_true)
             rec.objective_trace = []  # cells are summarized, not traced
             runs.append(rec)
-    return ExperimentResult("mu_sweep", seed, _jsonable(cfg), runs)
-
-
-def _jsonable(cfg):
-    out = {}
-    for key, value in cfg.items():
-        if isinstance(value, tuple):
-            value = list(value)
-        out[key] = value
-    return out
+    return ExperimentResult("mu_sweep", seed, cfg, runs)
 
 
 _PRESET_FUNCS = {

@@ -14,6 +14,8 @@ where
 At |z| == tau both branches minimize; the tie goes to the nonzero branch
 exactly when the previous value of that coordinate was nonzero.  Outputs
 are therefore always either 0 or at least eta in magnitude.
+
+The root is found to the fixed tolerance TOL, on every backend.
 """
 
 import math
@@ -24,7 +26,7 @@ import numpy as np
 from . import _csweep
 from .errors import ConvergenceFailure, DimensionMismatch, InvalidInstance
 
-DEFAULT_PROX_TOL = 1e-12
+TOL = 1e-12  # on |g(v) - z_abs| and on the Newton step
 
 
 @dataclass(frozen=True)
@@ -51,7 +53,7 @@ def _g(v, c, q):
     return v + c * q * v ** (q - 1.0)
 
 
-def solve_inverse(z_abs, params, tol=DEFAULT_PROX_TOL):
+def solve_inverse(z_abs, params):
     """Root of g(v) = v + c*q*v^(q-1) = z_abs on [eta, z_abs].
 
     g is strictly increasing and convex there (g'(eta) = 1 - q/2 > 0), so a
@@ -67,7 +69,7 @@ def solve_inverse(z_abs, params, tol=DEFAULT_PROX_TOL):
     v = z_abs
     for _ in range(200):
         g = _g(v, c, q) - z_abs
-        if abs(g) <= tol:
+        if abs(g) <= TOL:
             return v
         if g > 0.0:
             hi = v
@@ -80,7 +82,7 @@ def solve_inverse(z_abs, params, tol=DEFAULT_PROX_TOL):
             step_ok = lo <= v_new <= hi
         if not step_ok:
             v_new = 0.5 * (lo + hi)
-        if abs(v_new - v) <= tol:
+        if abs(v_new - v) <= TOL:
             return v_new
         v = v_new
     raise stalled(z_abs)
@@ -91,19 +93,19 @@ def stalled(z_abs):
     return ConvergenceFailure(f"prox root-finder stalled at z_abs={z_abs:g}")
 
 
-def prox_scalar(z, x_prev, params, tol=DEFAULT_PROX_TOL):
+def prox_scalar(z, x_prev, params):
     """Single-valued thresholding of z, with x_prev breaking the tie at tau."""
     z_abs = abs(z)
     if z_abs < params.tau:
         return 0.0
     if z_abs > params.tau:
-        return math.copysign(solve_inverse(z_abs, params, tol), z)
+        return math.copysign(solve_inverse(z_abs, params), z)
     if x_prev != 0.0:
         return math.copysign(params.eta, z)
     return 0.0
 
 
-def prox_vector(z, x_prev, params, tol=DEFAULT_PROX_TOL):
+def prox_vector(z, x_prev, params):
     """Componentwise prox_scalar, bit for bit: the C kernel's lq_prox, or a
     loop over prox_scalar where the kernel cannot load."""
     z = np.asarray(z, dtype=np.float64, order="C")
@@ -112,12 +114,12 @@ def prox_vector(z, x_prev, params, tol=DEFAULT_PROX_TOL):
         raise DimensionMismatch(
             f"z and x_prev must match, got {z.shape} vs {x_prev.shape}")
     if _csweep.lq_prox is None:
-        return np.array([prox_scalar(zi, xi, params, tol) for zi, xi
+        return np.array([prox_scalar(zi, xi, params) for zi, xi
                          in zip(z.ravel().tolist(), x_prev.ravel().tolist())],
                         dtype=np.float64).reshape(z.shape)
     out = np.empty_like(z)
     failed = _csweep.lq_prox(z.size, z.ctypes.data, x_prev.ctypes.data,
-                             params.c, params.q, params.tau, params.eta, tol,
+                             params.c, params.q, params.tau, params.eta, TOL,
                              out.ctypes.data)
     if failed >= 0:
         raise stalled(abs(float(z.flat[failed])))

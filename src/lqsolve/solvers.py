@@ -9,6 +9,8 @@ rules and one divergence guard, and records traces at sweep granularity.
 The C sweep screens: it leaves a zero coordinate alone, without its
 column's dot product, while a bound on that product proves the
 coordinate would stay zero, which leaves every output unchanged.
+Both sweeps take the threshold as one ProxParams; the prox tolerance is
+the constant prox.TOL.
 """
 
 import csv
@@ -18,10 +20,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import _csweep, core
+from . import _csweep, core, prox
 from .core import format_float, objective_from_residual
 from .errors import DimensionMismatch, InvalidInstance
-from .prox import DEFAULT_PROX_TOL, ProxParams, prox_scalar, prox_vector, stalled
+from .prox import ProxParams, prox_scalar, prox_vector, stalled
 
 DIVERGENCE_FACTOR = 1e6
 
@@ -42,14 +44,10 @@ class IterateChange:
 
 @dataclass(frozen=True)
 class RmseVsReference:
-    """Stop once ||x - reference|| / ||reference|| <= tol (needs ground truth)."""
+    """Stop once ||x - reference|| / ||reference|| <= tol, against
+    SolverConfig.reference."""
 
     tol: float
-    reference: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "reference",
-                           core.as_vector(self.reference, "reference"))
 
 
 @dataclass(frozen=True)
@@ -63,8 +61,7 @@ class SolverConfig:
     max_sweeps: int = 10_000
     stop_rule: object = field(default_factory=IterateChange)
     record_every: int = 1          # in sweeps; initial state and final sweep always recorded
-    prox_tol: float = DEFAULT_PROX_TOL
-    trace_reference: np.ndarray | None = None  # RMSE column even without an RMSE stop
+    reference: np.ndarray | None = None  # ground truth of the RMSE column and stop rule
     record_iterates: bool = False
     timing: bool = False
 
@@ -73,11 +70,13 @@ class SolverConfig:
             raise InvalidInstance(f"mu must be positive, got {self.mu}")
         if self.max_sweeps < 0 or self.record_every < 1:
             raise InvalidInstance("max_sweeps must be >= 0 and record_every >= 1")
-
-    def reference(self):
-        if isinstance(self.stop_rule, RmseVsReference):
-            return self.stop_rule.reference
-        return self.trace_reference
+        if self.reference is not None:
+            self.reference = core.as_vector(self.reference, "reference")
+            if np.linalg.norm(self.reference) == 0.0:
+                raise InvalidInstance("the RMSE reference is zero")
+        elif isinstance(self.stop_rule, RmseVsReference):
+            raise InvalidInstance("the RMSE stop rule needs a nonzero reference "
+                                  "(ground truth)")
 
 
 @dataclass
@@ -172,6 +171,20 @@ def coordinate_forward_step(state, p, mu, i):
     return float(state.x[i] - mu * np.dot(p.A[:, i], state.residual))
 
 
+def _coordinate_step(A, x, r, mu, params, i):
+    """Update coordinate i (0-based) in place on x and r; returns the change.
+
+    The forward step, the threshold and the rank-1 residual update; x[i]
+    is assigned only when it changes.
+    """
+    xi = prox_scalar(x[i] - mu * np.dot(A[:, i], r), x[i], params)
+    d = xi - x[i]
+    if d != 0.0:
+        r += d * A[:, i]
+        x[i] = xi
+    return d
+
+
 def gaita_update(state, p, config):
     """One cyclic coordinate update; returns the successor state.
 
@@ -179,21 +192,14 @@ def gaita_update(state, p, config):
     run loop below executes the same arithmetic through a compiled sweep
     kernel.
     """
-    n_dim = p.n
-    i = select_index(state.n, n_dim) - 1
-    params = ProxParams(c=p.lam * config.mu, q=p.q)
-    z_i = coordinate_forward_step(state, p, config.mu, i)
-    x_new = state.x.copy()
-    x_new[i] = prox_scalar(z_i, state.x[i], params, config.prox_tol)
-    delta = x_new[i] - state.x[i]
-    r_new = state.residual.copy()
-    if delta != 0.0:
-        r_new += delta * p.A[:, i]
-    return SolverState(x=x_new, n=state.n + 1, residual=r_new,
-                       objective=objective_from_residual(p, x_new, r_new))
+    x, r = state.x.copy(), state.residual.copy()
+    _coordinate_step(p.A, x, r, config.mu, ProxParams(c=p.lam * config.mu, q=p.q),
+                     select_index(state.n, p.n) - 1)
+    return SolverState(x=x, n=state.n + 1, residual=r,
+                       objective=objective_from_residual(p, x, r))
 
 
-def _sweep_python(A, x, r, mu, c, q, tau, eta, tol, screen=None):
+def _sweep_python(A, x, r, mu, params, screen=None):
     """One cyclic sweep in place on x and r; returns the largest change.
 
     The oracle for _sweep_c, and the backend where the C kernel cannot load.
@@ -202,19 +208,12 @@ def _sweep_python(A, x, r, mu, c, q, tau, eta, tol, screen=None):
     Floating-point warnings are silenced, as in C: a non-finite forward
     step ends in the same ConvergenceFailure on both backends.
     """
-    n_dim = A.shape[1]
-    params = ProxParams(c=c, q=q)
     max_step = 0.0
     with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(n_dim):
-            z = x[i] - mu * np.dot(A[:, i], r)
-            xi = prox_scalar(z, x[i], params, tol)
-            d = xi - x[i]
-            if d != 0.0:
-                r += d * A[:, i]
-                x[i] = xi
-                if abs(d) > max_step:
-                    max_step = abs(d)
+        for i in range(A.shape[1]):
+            d = abs(_coordinate_step(A, x, r, mu, params, i))
+            if d > max_step:
+                max_step = d
     return max_step
 
 
@@ -227,7 +226,7 @@ def new_screen(A):
     return state
 
 
-def _sweep_c(A, x, r, mu, c, q, tau, eta, tol, screen=None):
+def _sweep_c(A, x, r, mu, params, screen=None):
     """The C kernel in _sweep.c; same arguments and bits as _sweep_python.
 
     ``screen`` is None, or new_screen(A) carried from sweep to sweep of
@@ -250,8 +249,9 @@ def _sweep_c(A, x, r, mu, c, q, tau, eta, tol, screen=None):
         raise InvalidInstance("the screening state does not fit this matrix")
     out = np.empty(2)
     failed = _csweep.lq_sweep(_csweep.ddot, m, n_dim, A.ctypes.data,
-                              x.ctypes.data, r.ctypes.data, mu, c, q, tau, eta,
-                              tol, out.ctypes.data,
+                              x.ctypes.data, r.ctypes.data, mu, params.c,
+                              params.q, params.tau, params.eta, prox.TOL,
+                              out.ctypes.data,
                               None if screen is None else screen.ctypes.data)
     if failed >= 0:
         raise stalled(out[1])
@@ -286,7 +286,7 @@ def _run(p, x0, config, algorithm, step, mu_bound, updates_per_sweep):
     should stay below.
     """
     state = SolverState.initial(p, x0)
-    ref = config.reference()
+    ref = config.reference
     ref_norm = np.linalg.norm(ref) if ref is not None else None  # once per run
     trace = IterationTrace()
     trace.flags = {
@@ -355,14 +355,13 @@ def gaita_run(p, x0, config):
     screen = new_screen(p.A)
 
     def sweep(x, r):
-        return _sweep(p.A, x, r, config.mu, params.c, params.q,
-                      params.tau, params.eta, config.prox_tol, screen)
+        return _sweep(p.A, x, r, config.mu, params, screen)
 
     return _run(p, x0, config, "gaita", sweep, core.l_max, p.n)
 
 
 def _jacobi_x(p, x, r, config, params):
-    return prox_vector(x - config.mu * (p.A.T @ r), x, params, config.prox_tol)
+    return prox_vector(x - config.mu * (p.A.T @ r), x, params)
 
 
 def jaita_update(state, p, config):

@@ -96,7 +96,7 @@ def plain_run(p, x0, config, algorithm):
     x = np.array(x0, dtype=np.float64)
     r = p.A @ x - p.y
     obj = objective_from_residual(p, x, r)
-    ref = config.reference()
+    ref = config.reference
     rmse = lambda: (float(np.linalg.norm(x - ref) / np.linalg.norm(ref))
                     if ref is not None else math.nan)
     bound = l_max if algorithm == "gaita" else spectral_norm_sq
@@ -112,11 +112,9 @@ def plain_run(p, x0, config, algorithm):
     sweep = 0
     for sweep in range(1, config.max_sweeps + 1):
         if algorithm == "gaita":
-            step = solvers._sweep(p.A, x, r, config.mu, params.c, params.q,
-                                  params.tau, params.eta, config.prox_tol)
+            step = solvers._sweep(p.A, x, r, config.mu, params)
         else:
-            x_new = prox_vector(x - config.mu * (p.A.T @ r), x, params,
-                                config.prox_tol)
+            x_new = prox_vector(x - config.mu * (p.A.T @ r), x, params)
             step = float(np.linalg.norm(x_new - x))
             x[:] = x_new
         r = p.A @ x - p.y

@@ -1,4 +1,6 @@
 import json
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +11,29 @@ from lqsolve.solvers import IterationTrace
 
 def run_cli(*argv):
     return cli.main(list(argv))
+
+
+_opened = None  # names of the files opened, while opened_files records them
+_hooked = False
+
+
+def _audit_open(event, args):
+    if event == "open" and _opened is not None and args[0] is not None:
+        _opened.append(Path(str(args[0])).name)
+
+
+@pytest.fixture
+def opened_files():
+    """Names of the files opened during the test.  An audit hook sees every
+    way of opening a file; it cannot be removed, so it stays installed and
+    idle outside this fixture."""
+    global _opened, _hooked
+    if not _hooked:
+        sys.addaudithook(_audit_open)
+        _hooked = True
+    _opened = []
+    yield _opened
+    _opened = None
 
 
 GEN_SMALL = ("gen", "--m", "20", "--n", "40", "--k", "3", "--seed", "7")
@@ -62,6 +87,14 @@ class TestGen:
         for name in ("A.csv", "y.csv", "x_true.csv", "manifest.json"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
+    def test_load_reads_each_file_once(self, tmp_path, opened_files):
+        # the bytes parsed are the bytes whose sha256 was checked
+        out = tmp_path / "inst"
+        run_cli(*GEN_SMALL, "--out-dir", str(out), "--quiet")
+        opened_files.clear()
+        cli.load_instance(out)
+        assert sorted(opened_files) == ["A.csv", "manifest.json", "x_true.csv", "y.csv"]
+
     def test_out_dir_env_var(self, tmp_path, monkeypatch):
         target = tmp_path / "from_env"
         monkeypatch.setenv("LQSOLVE_OUT_DIR", str(target))
@@ -73,6 +106,15 @@ class TestGen:
 def instance_dir(tmp_path):
     out = tmp_path / "inst"
     run_cli(*GEN_SMALL, "--out-dir", str(out), "--quiet")
+    return out
+
+
+@pytest.fixture
+def zero_instance_dir(tmp_path):
+    """An instance whose ground truth is zero (k = 0), so y = 0."""
+    out = tmp_path / "zero"
+    run_cli("gen", "--m", "20", "--n", "40", "--k", "0", "--seed", "1",
+            "--out-dir", str(out), "--quiet")
     return out
 
 
@@ -112,6 +154,19 @@ class TestSolve:
         assert code == 0
         summary = json.loads((out / "summary.json").read_text())
         assert summary["flags"]["algorithm"] == "jaita"
+
+    def test_zero_ground_truth_leaves_rmse_nan(self, tmp_path, zero_instance_dir):
+        out = tmp_path / "run"
+        assert run_cli("solve", "--instance-dir", str(zero_instance_dir),
+                       "--out-dir", str(out), "--quiet") == 0
+        assert np.all(np.isnan(IterationTrace.from_csv(out / "trace.csv").column("rmse")))
+        assert json.loads((out / "summary.json").read_text())["final_rmse"] is None
+
+    def test_rmse_stop_needs_nonzero_ground_truth(self, tmp_path, zero_instance_dir,
+                                                  capsys):
+        assert run_cli("solve", "--instance-dir", str(zero_instance_dir), "--stop", "rmse",
+                       "--out-dir", str(tmp_path / "run"), "--quiet") == 2
+        assert "RMSE stop rule needs a nonzero reference" in capsys.readouterr().err
 
     def test_gaita_divergence_is_flagged(self, tmp_path):
         inst = tmp_path / "inst40"

@@ -1,6 +1,7 @@
 import contextlib
 import ctypes
 import shutil
+import subprocess
 import warnings
 
 import numpy as np
@@ -99,7 +100,7 @@ class TestGaitaRun:
     def test_converges_and_objective_monotone(self):
         p, inst = small_problem(seed=1, lam=0.001)
         config = SolverConfig(mu=0.95 / l_max(p.A),
-                              trace_reference=inst.x_true)
+                              reference=inst.x_true)
         state, trace = gaita_run(p, np.zeros(p.n), config)
         assert trace.flags["converged"]
         obj = trace.column("objective")
@@ -154,7 +155,7 @@ class TestGaitaRun:
             p, _ = small_problem(q=q, **spec)
             mu = factor / l_max(p.A)
             params = ProxParams(c=p.lam * mu, q=p.q)
-            args = (mu, params.c, params.q, params.tau, params.eta, 1e-12)
+            args = (mu, params)
             for screen in (None, solvers.new_screen(p.A)):
                 x, xp = np.zeros(p.n), np.zeros(p.n)
                 r, rp = p.A @ x - p.y, p.A @ xp - p.y
@@ -173,7 +174,7 @@ class TestGaitaRun:
             p, inst = small_problem(q=q, **spec)
             config = SolverConfig(mu=factor / l_max(p.A), max_sweeps=sweeps,
                                   stop_rule=SweepCapOnly(),
-                                  trace_reference=inst.x_true)
+                                  reference=inst.x_true)
             runs = []
             for kernel in (solvers._sweep_c, _sweep_python):
                 monkeypatch.setattr(solvers, "_sweep", kernel)
@@ -197,7 +198,7 @@ class TestGaitaRun:
         # a seed where the true signal is recoverable at this small size
         p, inst = small_problem(seed=11, lam=0.001)
         config = SolverConfig(mu=0.95 / l_max(p.A),
-                              stop_rule=RmseVsReference(1e-2, inst.x_true))
+                              stop_rule=RmseVsReference(1e-2), reference=inst.x_true)
         _, trace = gaita_run(p, np.zeros(p.n), config)
         assert trace.flags["converged"]
         assert trace.column("rmse")[-1] <= 1e-2
@@ -250,7 +251,7 @@ def test_stalled_prox_raises(name, monkeypatch):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         with pytest.raises(ConvergenceFailure, match=stalled):
-            sweep(A, x, r, 1.0, params.c, params.q, params.tau, params.eta, 1e-12)
+            sweep(A, x, r, 1.0, params)
         assert np.array_equal(x, np.zeros(3))
         with pytest.raises(ConvergenceFailure, match=stalled):
             prox_vector(np.array([0.5, -np.inf]), np.zeros(2), params)
@@ -276,7 +277,7 @@ def test_c_kernel_rejects_bad_arrays(bad, error):
     else:
         x = np.zeros(4)
     with pytest.raises(error):
-        sweep(A, x, r, 0.1, 0.01, 0.5, 0.1, 0.05, 1e-12)
+        sweep(A, x, r, 0.1, ProxParams(c=0.01, q=0.5))
 
 
 def test_kernel_builds_into_an_empty_cache(tmp_path, monkeypatch):
@@ -285,6 +286,16 @@ def test_kernel_builds_into_an_empty_cache(tmp_path, monkeypatch):
     sweep, prox, ddot = _csweep.load()
     assert sweep is not None and prox is not None and ddot
     assert [f.suffix for f in tmp_path.iterdir()] == [".so"]
+
+
+def test_kernel_compiles_without_warnings(tmp_path):
+    gcc = shutil.which("gcc")
+    if gcc is None:
+        pytest.skip("gcc not found")
+    proc = subprocess.run([gcc, *_csweep.FLAGS, "-Wall", "-Wextra", "-Werror",
+                           "-o", str(tmp_path / "sweep.so"), str(_csweep.SOURCE), "-lm"],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 @pytest.mark.parametrize("fault, reason", [
@@ -421,8 +432,7 @@ class TestScreening:
     # (0.9, 0.95) never repeats, with 7 zero coordinates within 10% of
     # the threshold, so their bounds reach it and they are recomputed
     CELLS = [(0.5, 0.5, 200), (0.5, 0.95, 120), (0.9, 0.95, 400)]
-    RULES = {"cap": lambda inst: SweepCapOnly(),
-             "rmse": lambda inst: RmseVsReference(1e-2, inst.x_true)}
+    RULES = {"cap": SweepCapOnly(), "rmse": RmseVsReference(1e-2)}
 
     @pytest.mark.parametrize("rule", sorted(RULES))
     @pytest.mark.parametrize("q, mu, cap", CELLS)
@@ -432,8 +442,8 @@ class TestScreening:
             for iterates in (False, True):
                 config = SolverConfig(
                     mu=mu, max_sweeps=cap, record_every=every,
-                    stop_rule=self.RULES[rule](noisy_instance),
-                    trace_reference=noisy_instance.x_true,
+                    stop_rule=self.RULES[rule],
+                    reference=noisy_instance.x_true,
                     record_iterates=iterates)
                 _assert_same_run(gaita_run(p, np.zeros(p.n), config),
                                  plain_run(p, np.zeros(p.n), config, "gaita"))
@@ -454,7 +464,7 @@ class TestScreening:
         p = noisy_instance.problem(0.009, 0.5)
         mu = 0.5
         params = ProxParams(c=p.lam * mu, q=p.q)
-        args = (mu, params.c, params.q, params.tau, params.eta, 1e-12)
+        args = (mu, params)
         screen = solvers.new_screen(p.A)
         x = np.zeros(p.n)
         r = p.A @ x - p.y
@@ -478,8 +488,7 @@ class TestScreening:
         r = p.A @ x - p.y
         with counting_ddot(monkeypatch) as calls:
             for _ in range(3):
-                solvers._sweep_c(p.A, x, r, 0.5, params.c, params.q, params.tau,
-                                 params.eta, 1e-12)
+                solvers._sweep_c(p.A, x, r, 0.5, params)
         assert len(calls) == 3 * p.n
 
     def test_state_must_fit_the_matrix(self):
@@ -489,7 +498,7 @@ class TestScreening:
         x = np.zeros(p.n)
         r = p.A @ x - p.y
         with pytest.raises(InvalidInstance, match="screening state"):
-            solvers._sweep_c(p.A, x, r, 0.5, 0.01, 0.5, 0.1, 0.05, 1e-12,
+            solvers._sweep_c(p.A, x, r, 0.5, ProxParams(c=0.01, q=0.5),
                              solvers.new_screen(p.A[:, 1:]))
 
     @pytest.mark.parametrize("every", [1, 3, 7])
@@ -497,7 +506,7 @@ class TestScreening:
         p = noisy_instance.problem(0.009, 0.5)
         config = SolverConfig(mu=0.95 / spectral_norm_sq(p.A), max_sweeps=420,
                               record_every=every, stop_rule=SweepCapOnly(),
-                              trace_reference=noisy_instance.x_true,
+                              reference=noisy_instance.x_true,
                               record_iterates=True)
         _assert_same_run(jaita_run(p, np.zeros(p.n), config),
                          plain_run(p, np.zeros(p.n), config, "jaita"))
@@ -535,7 +544,7 @@ def test_nan_objective_is_divergence(run, monkeypatch):
 class TestTraceIO:
     def test_csv_round_trip(self, tmp_path):
         p, inst = small_problem(seed=14)
-        config = SolverConfig(mu=0.95 / l_max(p.A), trace_reference=inst.x_true)
+        config = SolverConfig(mu=0.95 / l_max(p.A), reference=inst.x_true)
         _, trace = gaita_run(p, np.zeros(p.n), config)
         path = tmp_path / "trace.csv"
         trace.to_csv(path)
@@ -560,6 +569,14 @@ class TestConfigValidation:
     def test_rejects_bad_record_every(self):
         with pytest.raises(InvalidInstance):
             SolverConfig(mu=0.5, record_every=0)
+
+    def test_rejects_zero_reference(self):
+        with pytest.raises(InvalidInstance, match="reference is zero"):
+            SolverConfig(mu=0.5, reference=np.zeros(3))
+
+    def test_rmse_stop_needs_reference(self):
+        with pytest.raises(InvalidInstance, match="needs a nonzero reference"):
+            SolverConfig(mu=0.5, stop_rule=RmseVsReference(1e-2))
 
     def test_stop_rule_tolerance_default(self):
         assert IterateChange().tol == 1e-10
