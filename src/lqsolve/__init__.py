@@ -19,7 +19,6 @@ from .harness import (ExperimentResult, GeneratedInstance, InstanceSpec,
 from .prox import ProxParams, prox_scalar, prox_vector, solve_inverse
 from .solvers import (IterateChange, IterationTrace, RmseVsReference,
                       SolverConfig, SolverState, SweepCapOnly,
-                      coordinate_forward_step, gaita_run, gaita_update,
-                      jaita_run, jaita_update, select_index)
+                      gaita_run, gaita_update, jaita_run, select_index)
 
 __version__ = "0.1.0"

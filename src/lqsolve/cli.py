@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import core, diagnostics, harness, solvers
+from . import diagnostics, harness, solvers
 from .core import format_float
 from .errors import CorruptFile, LqsolveError
 from .prox import ProxParams, prox_scalar
@@ -167,32 +167,28 @@ def _instance_from(cfg):
 # ---------------------------------------------------------------------------
 # subcommands
 
+GEN_FIELDS = {"m": 250, "n": 500, "k": 15, "snr_db": None,
+              "column_normalize": True, "seed": 0}
+
+
 def cmd_gen(args):
-    cfg = _resolved(args, _load_config_file(args), {
-        "m": 250, "n": 500, "k": 15, "snr_db": None, "column_normalize": True,
-        "seed": 0,
-    })
+    cfg = _resolved(args, _load_config_file(args), GEN_FIELDS)
     manifest = save_instance(_out_dir(args), _instance_from(cfg))
     if not args.quiet:
         print(f"instance written to {_out_dir(args)} (hash {manifest['spec_hash'][:12]})")
     return EXIT_OK
 
 
-SOLVE_FIELDS = {
-    "m": 250, "n": 500, "k": 15, "snr_db": None, "column_normalize": True,
-    "instance_dir": None, "algorithm": "gaita", "lam": 0.001, "q": 0.5,
-    "mu": None, "max_sweeps": 10_000, "stop": "iterate_change", "tol": 1e-10,
-    "record_every": 1, "timing": False, "seed": 0,
-}
+SOLVE_FIELDS = dict(
+    GEN_FIELDS, instance_dir=None, algorithm="gaita", lam=0.001, q=0.5,
+    mu=None, max_sweeps=10_000, stop="iterate_change", tol=1e-10,
+    record_every=1)
 
 
 def _build_solver_config(cfg, inst):
     mu = cfg["mu"]
     if mu is None:
-        if cfg["algorithm"] == "gaita":
-            mu = 0.95 / core.l_max(inst.A)
-        else:
-            mu = 0.99 / core.spectral_norm_sq(inst.A)
+        mu = solvers.default_mu(cfg["algorithm"], inst.A)
     if cfg["stop"] == "iterate_change":
         stop = solvers.IterateChange(cfg["tol"])
     elif cfg["stop"] == "rmse":
@@ -204,8 +200,7 @@ def _build_solver_config(cfg, inst):
     return solvers.SolverConfig(
         mu=mu, max_sweeps=cfg["max_sweeps"], stop_rule=stop,
         record_every=cfg["record_every"],
-        reference=inst.x_true if np.any(inst.x_true) else None,
-        timing=cfg["timing"]), mu
+        reference=inst.x_true if np.any(inst.x_true) else None), mu
 
 
 def cmd_solve(args):
@@ -330,8 +325,8 @@ def cmd_prox_eval(args):
 
 def _certify_problem(cfg, solution, inst):
     """Fill in lam, q and mu that no flag or config file gave, from the
-    summary.json `solve` wrote next to the solution, else the defaults, and
-    say where each came from.  Stationarity depends on all three, so a
+    summary.json `solve` wrote next to the solution, else solve's defaults,
+    and say where each came from.  Stationarity depends on all three, so a
     solution is checked on the problem that produced it whenever known."""
     summary = solution.parent / "summary.json"
     solved = {}
@@ -339,24 +334,26 @@ def _certify_problem(cfg, solution, inst):
         with open(summary) as fh:
             solved = json.load(fh)["config"]
     sources = {}
-    for name, default in (("lam", 0.001), ("q", 0.5), ("mu", None)):
+    for name in ("lam", "q", "mu"):
         if cfg[name] is not None:
             source = "option"
         elif name in solved:
             cfg[name], source = float(solved[name]), "summary.json"
-        elif default is not None:
-            cfg[name], source = default, f"default {default:g}"
+        elif name == "mu":
+            cfg[name], source = solvers.default_mu("gaita", inst.A), "default 0.95/L_max"
         else:
-            cfg[name], source = 0.95 / core.l_max(inst.A), "default 0.95/L_max"
+            cfg[name] = SOLVE_FIELDS[name]
+            source = f"default {cfg[name]:g}"
         sources[f"{name}_source"] = source
     return sources
 
 
+CERTIFY_FIELDS = {"lam": None, "q": None, "mu": None, "tol": 1e-6,
+                  "instance_dir": None}
+
+
 def cmd_certify(args):
-    file_cfg = _load_config_file(args)
-    cfg = _resolved(args, file_cfg, {
-        "lam": None, "q": None, "mu": None, "tol": 1e-6, "instance_dir": None,
-    })
+    cfg = _resolved(args, _load_config_file(args), CERTIFY_FIELDS)
     if cfg["instance_dir"] is None:
         raise LqsolveError("certify requires --instance-dir")
     inst = load_instance(cfg["instance_dir"])
@@ -391,10 +388,14 @@ def _add_common(sp):
     sp.add_argument("--quiet", action="store_true")
 
 
-def _add_instance_flags(sp):
+def _add_size_flags(sp):
     sp.add_argument("--m", type=int, default=None)
     sp.add_argument("--n", type=int, default=None)
     sp.add_argument("--k", type=int, default=None)
+
+
+def _add_instance_flags(sp):
+    _add_size_flags(sp)
     sp.add_argument("--snr-db", dest="snr_db", type=float, default=None)
     sp.add_argument("--no-column-normalize", dest="column_normalize",
                     action="store_false", default=None)
@@ -425,13 +426,11 @@ def build_parser():
                     default=None)
     sp.add_argument("--tol", type=float, default=None)
     sp.add_argument("--record-every", dest="record_every", type=int, default=None)
-    sp.add_argument("--timing", action="store_true", default=None,
-                    help="record wall times (makes outputs nondeterministic)")
     sp.set_defaults(func=cmd_solve)
 
     sp = sub.add_parser("compare", help="run a preset comparison experiment")
     _add_common(sp)
-    _add_instance_flags(sp)
+    _add_size_flags(sp)
     sp.add_argument("--preset", choices=("fig1", "fig3", "fig4"), required=True)
     sp.add_argument("--lam", type=float, default=None)
     sp.add_argument("--max-sweeps", dest="max_sweeps", type=int, default=None)
@@ -439,7 +438,7 @@ def build_parser():
 
     sp = sub.add_parser("sweep", help="run the (mu, q) recovery sweep")
     _add_common(sp)
-    _add_instance_flags(sp)
+    _add_size_flags(sp)
     sp.add_argument("--lam", type=float, default=None)
     sp.add_argument("--max-sweeps", dest="max_sweeps", type=int, default=None)
     sp.set_defaults(func=cmd_sweep)

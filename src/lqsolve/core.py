@@ -94,18 +94,16 @@ def spectral_norm_sq(A):
     return float(np.linalg.eigvalsh(g)[-1])
 
 
-def min_eig_symmetric(M, tol=1e-10):
-    """Smallest eigenvalue of a symmetric matrix.
+def min_eig_symmetric(M):
+    """Smallest eigenvalue of a symmetric matrix, from LAPACK (eigvalsh).
 
-    Delegates to LAPACK (eigvalsh), which resolves eigenvalues well below
-    the default 1e-10 absolute tolerance; ``tol`` only gates the symmetry
-    check on the input.
+    M must be symmetric to within 1e-10, entry by entry.
     """
     M = as_matrix(M, "M")
     if M.shape[0] != M.shape[1]:
         raise DimensionMismatch(f"M must be square, got shape {M.shape}")
     asym = float(np.max(np.abs(M - M.T))) if M.size else 0.0
-    if asym > max(tol, 1e-10):
+    if asym > 1e-10:
         raise AsymmetricMatrix(f"M deviates from symmetry by {asym:g}")
     return float(np.linalg.eigvalsh(M)[0])
 
@@ -115,8 +113,7 @@ def objective(p, x):
     x = as_vector(x, "x")
     if x.shape[0] != p.n:
         raise DimensionMismatch(f"x has length {x.shape[0]}, expected {p.n}")
-    r = p.A @ x - p.y
-    return 0.5 * float(r @ r) + p.lam * float(np.sum(np.abs(x) ** p.q))
+    return objective_from_residual(p, x, p.A @ x - p.y)
 
 
 def objective_from_residual(p, x, r):

@@ -27,7 +27,7 @@ import numpy as np
 from .core import ProblemInstance
 from .errors import InvalidInstance
 from .solvers import (IterateChange, RmseVsReference, SolverConfig,
-                      gaita_run, jaita_run)
+                      _rmse_vs, default_mu, gaita_run, jaita_run)
 from . import core
 
 PRESETS = ("fig1", "fig3", "fig4", "mu_sweep")
@@ -99,15 +99,16 @@ def generate_instance(spec):
 
 
 def rmse(x, x_ref):
-    """Relative recovery error ||x - x_ref||_2 / ||x_ref||_2."""
+    """Relative recovery error ||x - x_ref||_2 / ||x_ref||_2, with its inputs
+    checked; the run loop computes the same bits unchecked (_rmse_vs)."""
     x = core.as_vector(x, "x")
     x_ref = core.as_vector(x_ref, "x_ref")
     if x.shape != x_ref.shape:
         raise InvalidInstance(f"length mismatch: {x.shape} vs {x_ref.shape}")
-    norm = float(np.linalg.norm(x_ref))
+    norm = np.linalg.norm(x_ref)
     if norm == 0.0:
         raise InvalidInstance("reference vector is zero")
-    return float(np.linalg.norm(x - x_ref)) / norm
+    return _rmse_vs(x, x_ref, norm)
 
 
 @dataclass
@@ -136,9 +137,9 @@ class ExperimentResult:
     config: dict
     runs: list
 
-    def to_json(self, indent=2):
-        """Deterministic serialization: wall times and raw iterates are
-        in-memory only."""
+    def to_json(self):
+        """Deterministic serialization: the full trace and the final
+        iterate are in-memory only."""
         payload = {
             "preset": self.preset,
             "seed": self.seed,
@@ -150,7 +151,7 @@ class ExperimentResult:
             d.pop("trace", None)
             d.pop("final_x", None)
             payload["runs"].append(d)
-        return json.dumps(payload, indent=indent, sort_keys=True)
+        return json.dumps(payload, indent=2, sort_keys=True)
 
 
 def _resolve(defaults, overrides):
@@ -210,7 +211,7 @@ def _run_fig3(overrides, seed):
         "step_tol": 1e-12,
     }, overrides)
     inst = generate_instance(InstanceSpec(cfg["m"], cfg["n"], cfg["k_star"], seed=seed))
-    mu_jaita = 0.99 / core.spectral_norm_sq(inst.A)
+    mu_jaita = default_mu("jaita", inst.A)
     runs = []
     for q in cfg["q_list"]:
         p = inst.problem(cfg["lam"], q)

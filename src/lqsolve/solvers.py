@@ -6,16 +6,16 @@ full-gradient step.  One *sweep* means N coordinate updates for the
 cyclic solver and one full-vector update for the Jacobi one.  Both run in
 one loop, which refreshes the residual once per sweep, applies the stop
 rules and one divergence guard, and records traces at sweep granularity.
+Every recorded value is deterministic: the trace holds no wall times.
 The C sweep screens: it leaves a zero coordinate alone, without its
 column's dot product, while a bound on that product proves the
 coordinate would stay zero, which leaves every output unchanged.
 Both sweeps take the threshold as one ProxParams; the prox tolerance is
-the constant prox.TOL.
+the constant prox.TOL.  default_mu gives each solver's default step size.
 """
 
 import csv
 import math
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -63,7 +63,6 @@ class SolverConfig:
     record_every: int = 1          # in sweeps; initial state and final sweep always recorded
     reference: np.ndarray | None = None  # ground truth of the RMSE column and stop rule
     record_iterates: bool = False
-    timing: bool = False
 
     def __post_init__(self):
         if not (self.mu > 0):
@@ -102,21 +101,20 @@ class IterationTrace:
 
     Columns: sweep, n (update counter), objective, step_norm (euclidean
     norm of the change since the previous record), support_size, rmse
-    (nan when no reference), elapsed_s (0 when timing is off).
+    (nan when no reference).
     """
 
-    COLUMNS = ("sweep", "n", "objective", "step_norm",
-               "support_size", "rmse", "elapsed_s")
+    COLUMNS = ("sweep", "n", "objective", "step_norm", "support_size", "rmse")
 
     def __init__(self):
-        self.rows = []          # list of 7-tuples, see COLUMNS
+        self.rows = []          # list of 6-tuples, see COLUMNS
         self.signs = []         # int8 arrays, aligned with rows
         self.iterates = []      # optional float arrays, aligned with rows
         self.flags = {}
 
-    def record(self, sweep, n, obj, step_norm, x, rmse, elapsed, keep_iterate):
+    def record(self, sweep, n, obj, step_norm, x, rmse, keep_iterate):
         self.rows.append((sweep, n, obj, step_norm,
-                          int(np.count_nonzero(x)), rmse, elapsed))
+                          int(np.count_nonzero(x)), rmse))
         self.signs.append(np.sign(x).astype(np.int8))
         if keep_iterate:
             self.iterates.append(x.copy())
@@ -135,10 +133,9 @@ class IterationTrace:
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(self.COLUMNS)
-            for sweep, n, obj, step, supp, rmse, elapsed in self.rows:
+            for sweep, n, obj, step, supp, rmse in self.rows:
                 writer.writerow([sweep, n, format_float(obj),
-                                 format_float(step), supp, format_float(rmse),
-                                 format_float(elapsed)])
+                                 format_float(step), supp, format_float(rmse)])
 
     @classmethod
     def from_csv(cls, path):
@@ -150,8 +147,7 @@ class IterationTrace:
                 raise InvalidInstance(f"unexpected trace header: {header}")
             for row in reader:
                 trace.rows.append((int(row[0]), int(row[1]), float(row[2]),
-                                   float(row[3]), int(row[4]), float(row[5]),
-                                   float(row[6])))
+                                   float(row[3]), int(row[4]), float(row[5])))
         return trace
 
 
@@ -164,11 +160,6 @@ def select_index(n, N):
         raise InvalidInstance("select_index needs N >= 1 and n >= 0")
     r = (n + 1) % N
     return N if r == 0 else r
-
-
-def coordinate_forward_step(state, p, mu, i):
-    """Unregularized descent for coordinate i (0-based): x_i - mu * A_i^T r."""
-    return float(state.x[i] - mu * np.dot(p.A[:, i], state.residual))
 
 
 def _coordinate_step(A, x, r, mu, params, i):
@@ -300,10 +291,8 @@ def _run(p, x0, config, algorithm, step, mu_bound, updates_per_sweep):
     obj0 = state.objective
     guard = DIVERGENCE_FACTOR * obj0 if obj0 > 0 else DIVERGENCE_FACTOR
 
-    t0 = time.perf_counter()
-    elapsed = lambda: time.perf_counter() - t0 if config.timing else 0.0
     rmse = _rmse_vs(state.x, ref, ref_norm) if ref is not None else math.nan
-    trace.record(0, 0, state.objective, math.nan, state.x, rmse, 0.0,
+    trace.record(0, 0, state.objective, math.nan, state.x, rmse,
                  config.record_iterates)
 
     x, r = state.x, state.residual
@@ -326,7 +315,7 @@ def _run(p, x0, config, algorithm, step, mu_bound, updates_per_sweep):
                 or sweep == config.max_sweeps):
             trace.record(sweep, sweep * updates_per_sweep, state.objective,
                          float(np.linalg.norm(x - x_prev_rec)), x, rmse,
-                         elapsed(), config.record_iterates)
+                         config.record_iterates)
             x_prev_rec = x.copy()
         if diverged:
             trace.flags["diverged"] = True
@@ -360,28 +349,23 @@ def gaita_run(p, x0, config):
     return _run(p, x0, config, "gaita", sweep, core.l_max, p.n)
 
 
-def _jacobi_x(p, x, r, config, params):
-    return prox_vector(x - config.mu * (p.A.T @ r), x, params)
-
-
-def jaita_update(state, p, config):
-    """One full-vector thresholded gradient step; returns the successor state."""
-    params = ProxParams(c=p.lam * config.mu, q=p.q)
-    x_new = _jacobi_x(p, state.x, state.residual, config, params)
-    r_new = p.A @ x_new - p.y
-    return SolverState(x=x_new, n=state.n + 1, residual=r_new,
-                       objective=objective_from_residual(p, x_new, r_new))
-
-
 def jaita_run(p, x0, config):
     """Run the Jacobi baseline; flags as for gaita_run, with mu_warning
     marking mu >= 1/||A||_2^2."""
     params = ProxParams(c=p.lam * config.mu, q=p.q)
 
     def step(x, r):
-        x_new = _jacobi_x(p, x, r, config, params)
+        x_new = prox_vector(x - config.mu * (p.A.T @ r), x, params)
         step_norm = float(np.linalg.norm(x_new - x))
         x[:] = x_new
         return step_norm
 
     return _run(p, x0, config, "jaita", step, core.spectral_norm_sq, 1)
+
+
+def default_mu(algorithm, A):
+    """The default step size, just inside each solver's bound: 0.95/L_max
+    for gaita, 0.99/||A||_2^2 for jaita."""
+    if algorithm == "gaita":
+        return 0.95 / core.l_max(A)
+    return 0.99 / core.spectral_norm_sq(A)

@@ -107,7 +107,7 @@ def plain_run(p, x0, config, algorithm):
                    "converged": False, "diverged": False,
                    "did_not_converge": False, "sweeps": 0}
     guard = 1e6 * obj if obj > 0 else 1e6
-    trace.record(0, 0, obj, math.nan, x, rmse(), 0.0, config.record_iterates)
+    trace.record(0, 0, obj, math.nan, x, rmse(), config.record_iterates)
     x_rec = x.copy()
     sweep = 0
     for sweep in range(1, config.max_sweeps + 1):
@@ -128,7 +128,7 @@ def plain_run(p, x0, config, algorithm):
         if (stop or diverged or sweep % config.record_every == 0
                 or sweep == config.max_sweeps):
             trace.record(sweep, sweep * per_sweep, obj,
-                         float(np.linalg.norm(x - x_rec)), x, e, 0.0,
+                         float(np.linalg.norm(x - x_rec)), x, e,
                          config.record_iterates)
             x_rec = x.copy()
         if diverged or stop:

@@ -1,3 +1,4 @@
+import argparse
 import json
 import sys
 from pathlib import Path
@@ -410,3 +411,32 @@ class TestCompareAndSweep:
             outs.append(out)
         for fname in ("fig1_result.json", "fig1_traces.csv"):
             assert (outs[0] / fname).read_bytes() == (outs[1] / fname).read_bytes()
+
+
+@pytest.mark.parametrize("command", [("compare", "--preset", "fig1"), ("sweep",)])
+@pytest.mark.parametrize("flag", [("--snr-db", "5"), ("--no-column-normalize",)])
+def test_presets_reject_instance_flags_they_ignore(command, flag, tmp_path, capsys):
+    code = run_cli(*command, *TestCompareAndSweep.DESK, *flag,
+                   "--out-dir", str(tmp_path), "--quiet")
+    assert code == 2
+    assert not list(tmp_path.iterdir())
+
+
+def test_every_flag_is_read():
+    # each option's dest must be a key that its command resolves or reads
+    common = {"config", "seed", "out_dir", "quiet"}
+    preset = set(cli.PRESET_FIELDS) | {"k", "preset"}  # --k sets k_star
+    reads = {
+        "gen": set(cli.GEN_FIELDS),
+        "solve": set(cli.SOLVE_FIELDS),
+        "compare": preset,
+        "sweep": preset,
+        "certify": set(cli.CERTIFY_FIELDS) | {"solution"},
+        "prox-eval": {"q", "lambda_mu", "z"},
+    }
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    assert set(sub.choices) == set(reads)
+    for name, sp in sub.choices.items():
+        dests = {a.dest for a in sp._actions if a.option_strings and a.dest != "help"}
+        assert dests - reads[name] - common == set(), name

@@ -14,8 +14,7 @@ from lqsolve.harness import InstanceSpec, generate_instance
 from lqsolve.prox import ProxParams, prox_vector
 from lqsolve.solvers import (IterateChange, IterationTrace, RmseVsReference,
                              SolverConfig, SolverState, SweepCapOnly,
-                             _sweep_python, coordinate_forward_step, gaita_run,
-                             gaita_update, jaita_run, jaita_update,
+                             _sweep_python, gaita_run, gaita_update, jaita_run,
                              select_index)
 
 from conftest import bisect_root, plain_run, small_problem
@@ -34,18 +33,6 @@ class TestSelectIndex:
             select_index(-1, 3)
         with pytest.raises(InvalidInstance):
             select_index(0, 0)
-
-
-class TestForwardStep:
-    def test_from_zero_is_scaled_correlation(self):
-        p = ProblemInstance(A=[[1.0], [2.0]], y=[1.0, 1.0], lam=1.0, q=0.5)
-        state = SolverState.initial(p, np.zeros(1))
-        # z = 0 - mu * A_0^T(A 0 - y) = mu * A_0^T y = 0.5 * 3
-        assert coordinate_forward_step(state, p, 0.5, 0) == pytest.approx(1.5)
-
-    def test_unit_example(self, unit_problem):
-        state = SolverState.initial(unit_problem, np.zeros(1))
-        assert coordinate_forward_step(state, unit_problem, 1.0, 0) == pytest.approx(2.0)
 
 
 class TestGaitaUpdate:
@@ -315,19 +302,24 @@ def test_unbuildable_kernel_reports_why(fault, reason, tmp_path, monkeypatch):
     assert not list(cache.glob("*"))  # no half-written build left behind
 
 
+def one_jaita_step(p, x0, mu):
+    state, _ = jaita_run(p, x0, SolverConfig(mu=mu, max_sweeps=1,
+                                             stop_rule=SweepCapOnly()))
+    return state
+
+
 class TestJaita:
     def test_update_keeps_fixed_point(self, unit_problem):
         config = SolverConfig(mu=1.0)
         state = SolverState.initial(unit_problem, np.zeros(1))
         s1 = gaita_update(state, unit_problem, config)  # reach the fixed point
-        s2 = jaita_update(s1, unit_problem, config)
+        s2 = one_jaita_step(unit_problem, s1.x, config.mu)
         assert s2.x[0] == pytest.approx(s1.x[0], abs=1e-9)
 
     def test_subthreshold_zero_stays_zero(self):
         p = ProblemInstance(A=np.eye(2), y=np.array([0.1, -0.1]),
                             lam=1.0, q=0.5)
-        state = SolverState.initial(p, np.zeros(2))
-        new = jaita_update(state, p, SolverConfig(mu=0.9))
+        new = one_jaita_step(p, np.zeros(2), 0.9)
         assert np.array_equal(new.x, np.zeros(2))
 
     def test_converges_at_safe_step(self):
