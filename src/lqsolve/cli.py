@@ -4,13 +4,20 @@ Subcommands: gen | solve | compare | sweep | prox-eval | certify.
 Outputs are plain-text CSV (one-line "rows,cols" header for arrays,
 17-significant-digit floats) plus JSON summaries that echo the fully
 resolved configuration, so any result can be regenerated from its own
-output.  Exit codes: 0 success (including did-not-converge, which is
-reported in the JSON), 2 bad configuration, 3 I/O failure (including an
-instance file whose bytes do not match the sha256 in its manifest), 4
-certify ran on a non-stationary point.
+output.  The parser holds every option's default, type and choices.
+`--config FILE` (gen, solve, compare, sweep, certify) reads a JSON object
+whose keys are that subcommand's option dests (`k_star` for compare's and
+sweep's `--k`); each value becomes its flag, placed before the command
+line's own flags, which therefore win, and null leaves an option at its
+default.  Exit codes: 0 success (including did-not-converge, which is
+reported in the JSON), 2 bad configuration (a bad flag, or a config file
+that is not a JSON object, holds an unknown key or a bad value), 3 I/O
+failure (including an instance file whose bytes do not match the sha256
+in its manifest), 4 certify ran on a non-stationary point.
 """
 
 import argparse
+import dataclasses
 import hashlib
 import io
 import json
@@ -32,14 +39,21 @@ EXIT_NOT_STATIONARY = 4
 
 
 # ---------------------------------------------------------------------------
+# text tables: a header line, then one comma-joined line per row of strings
+
+def _write_rows(path, header, rows):
+    with open(path, "w") as fh:
+        fh.write(header + "\n")
+        fh.writelines(",".join(row) + "\n" for row in rows)
+
+
 # array file format: first line "rows,cols", then one CSV row per matrix row
 
 def write_array(path, a):
     a = np.atleast_2d(np.asarray(a, dtype=np.float64))
-    with open(path, "w") as fh:
-        fh.write(f"{a.shape[0]},{a.shape[1]}\n")
-        for row in a:
-            fh.write(",".join(format_float(v) for v in row) + "\n")
+    # repr of a Python float is format_float, without a call per cell; one
+    # row of Python floats at a time
+    _write_rows(path, f"{a.shape[0]},{a.shape[1]}", (map(repr, row.tolist()) for row in a))
 
 
 def read_array(path, sha256=None):
@@ -84,6 +98,7 @@ def _write_json(path, payload):
 
 INSTANCE_FILES = {"matrix": "A.csv", "observation": "y.csv",
                   "ground_truth": "x_true.csv"}
+SPEC_FIELDS = {f.name for f in dataclasses.fields(harness.InstanceSpec)}
 
 
 def save_instance(out_dir, inst):
@@ -92,11 +107,7 @@ def save_instance(out_dir, inst):
     write_array(out_dir / INSTANCE_FILES["matrix"], inst.A)
     write_vector(out_dir / INSTANCE_FILES["observation"], inst.y)
     write_vector(out_dir / INSTANCE_FILES["ground_truth"], inst.x_true)
-    spec_dict = {
-        "m": inst.spec.m, "n": inst.spec.n, "k_star": inst.spec.k_star,
-        "column_normalize": inst.spec.column_normalize,
-        "snr_db": inst.spec.snr_db, "seed": inst.spec.seed,
-    }
+    spec_dict = dataclasses.asdict(inst.spec)
     sha256 = {name: _file_sha256(out_dir / name) for name in INSTANCE_FILES.values()}
     manifest = {"files": INSTANCE_FILES, "spec": spec_dict, "sha256": sha256,
                 "seed": inst.spec.seed, "spec_hash": _spec_hash(spec_dict)}
@@ -117,14 +128,13 @@ def load_instance(instance_dir):
                               "sha256 for it")
         return reader(instance_dir / name, recorded[name])
 
-    spec = harness.InstanceSpec(
-        m=manifest["spec"]["m"], n=manifest["spec"]["n"],
-        k_star=manifest["spec"]["k_star"],
-        column_normalize=manifest["spec"]["column_normalize"],
-        snr_db=manifest["spec"]["snr_db"], seed=manifest["spec"]["seed"])
+    odd = sorted(set(manifest["spec"]) ^ SPEC_FIELDS)
+    if odd:
+        raise LqsolveError(f"{instance_dir / 'manifest.json'}: spec fields missing "
+                           f"or unknown: {', '.join(odd)}")
     return harness.GeneratedInstance(
-        spec=spec, A=read("matrix", read_array), y=read("observation", read_vector),
-        x_true=read("ground_truth", read_vector))
+        spec=harness.InstanceSpec(**manifest["spec"]), A=read("matrix", read_array),
+        y=read("observation", read_vector), x_true=read("ground_truth", read_vector))
 
 
 # ---------------------------------------------------------------------------
@@ -136,79 +146,48 @@ def _out_dir(args):
     return Path(os.environ.get("LQSOLVE_OUT_DIR", "."))
 
 
-def _load_config_file(args):
-    if getattr(args, "config", None) is None:
-        return {}
-    with open(args.config) as fh:
-        return json.load(fh)
+# what a run's echoed config leaves out: parser bookkeeping, where the
+# outputs go, and certify's input file
+NOT_ECHOED = {"command", "func", "config", "out_dir", "quiet", "solution"}
 
 
-def _resolved(args, file_cfg, fields):
-    """Defaults < config file < explicit flags (argparse defaults are None)."""
-    out = {}
-    for name, default in fields.items():
-        value = getattr(args, name, None)
-        if value is None:
-            value = file_cfg.get(name, default)
-        out[name] = value
-    return out
+def _config(args):
+    return {name: v for name, v in vars(args).items() if name not in NOT_ECHOED}
 
 
-def _instance_from(cfg):
-    if cfg.get("instance_dir"):
-        return load_instance(cfg["instance_dir"])
-    spec = harness.InstanceSpec(
-        m=cfg["m"], n=cfg["n"], k_star=cfg["k"],
-        column_normalize=cfg["column_normalize"],
-        snr_db=cfg["snr_db"], seed=cfg["seed"])
-    return harness.generate_instance(spec)
+def _instance_from(args):
+    if getattr(args, "instance_dir", None):
+        return load_instance(args.instance_dir)
+    return harness.generate_instance(harness.InstanceSpec(
+        m=args.m, n=args.n, k_star=args.k, column_normalize=args.column_normalize,
+        snr_db=args.snr_db, seed=args.seed))
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 
-GEN_FIELDS = {"m": 250, "n": 500, "k": 15, "snr_db": None,
-              "column_normalize": True, "seed": 0}
-
-
 def cmd_gen(args):
-    cfg = _resolved(args, _load_config_file(args), GEN_FIELDS)
-    manifest = save_instance(_out_dir(args), _instance_from(cfg))
+    manifest = save_instance(_out_dir(args), _instance_from(args))
     if not args.quiet:
         print(f"instance written to {_out_dir(args)} (hash {manifest['spec_hash'][:12]})")
     return EXIT_OK
 
 
-SOLVE_FIELDS = dict(
-    GEN_FIELDS, instance_dir=None, algorithm="gaita", lam=0.001, q=0.5,
-    mu=None, max_sweeps=10_000, stop="iterate_change", tol=1e-10,
-    record_every=1)
-
-
-def _build_solver_config(cfg, inst):
-    mu = cfg["mu"]
-    if mu is None:
-        mu = solvers.default_mu(cfg["algorithm"], inst.A)
-    if cfg["stop"] == "iterate_change":
-        stop = solvers.IterateChange(cfg["tol"])
-    elif cfg["stop"] == "rmse":
-        stop = solvers.RmseVsReference(cfg["tol"])
-    elif cfg["stop"] == "cap":
-        stop = solvers.SweepCapOnly()
-    else:
-        raise LqsolveError(f"unknown stop rule {cfg['stop']!r}")
-    return solvers.SolverConfig(
-        mu=mu, max_sweeps=cfg["max_sweeps"], stop_rule=stop,
-        record_every=cfg["record_every"],
-        reference=inst.x_true if np.any(inst.x_true) else None), mu
+# solve's defaults for the problem, which certify falls back to as well
+PROBLEM_DEFAULTS = {"lam": 0.001, "q": 0.5}
+STOP_RULES = {"iterate_change": solvers.IterateChange, "rmse": solvers.RmseVsReference,
+              "cap": lambda tol: solvers.SweepCapOnly()}
 
 
 def cmd_solve(args):
-    cfg = _resolved(args, _load_config_file(args), SOLVE_FIELDS)
-    inst = _instance_from(cfg)
-    p = inst.problem(cfg["lam"], cfg["q"])
-    sconf, mu = _build_solver_config(cfg, inst)
-    run = solvers.gaita_run if cfg["algorithm"] == "gaita" else solvers.jaita_run
+    inst = _instance_from(args)
+    p = inst.problem(args.lam, args.q)
+    mu = args.mu if args.mu is not None else solvers.default_mu(args.algorithm, inst.A)
+    sconf = solvers.SolverConfig(
+        mu=mu, max_sweeps=args.max_sweeps, stop_rule=STOP_RULES[args.stop](args.tol),
+        record_every=args.record_every,
+        reference=inst.x_true if np.any(inst.x_true) else None)
+    run = solvers.gaita_run if args.algorithm == "gaita" else solvers.jaita_run
     state, trace = run(p, np.zeros(p.n), sconf)
 
     out_dir = _out_dir(args)
@@ -216,7 +195,7 @@ def cmd_solve(args):
     trace.to_csv(out_dir / "trace.csv")
     report = diagnostics.check_stationary(p, state.x, mu)
     summary = {
-        "config": dict(cfg, mu=mu),
+        "config": dict(_config(args), mu=mu),
         "flags": trace.flags,
         "final_objective": state.objective,
         "final_rmse": harness.rmse(state.x, sconf.reference)
@@ -230,24 +209,18 @@ def cmd_solve(args):
         status = "converged" if trace.flags["converged"] else (
             "diverged" if trace.flags["diverged"] else "did not converge")
         backend = (f" (sweep: {solvers.sweep_backend()})"
-                   if cfg["algorithm"] == "gaita" else "")
-        print(f"{cfg['algorithm']} {status} after {trace.flags['sweeps']} sweeps"
+                   if args.algorithm == "gaita" else "")
+        print(f"{args.algorithm} {status} after {trace.flags['sweeps']} sweeps"
               f"{backend}; outputs in {out_dir}")
     return EXIT_OK
 
 
-PRESET_FIELDS = {"seed": 0, "m": None, "n": None, "k_star": None, "lam": None,
-                 "max_sweeps": None}
-
-
 def _run_preset(args, preset):
-    """Run a preset under the overrides given by flag or config file (--k
-    sets k_star); write {preset}_result.json and return (result, out_dir)."""
-    flags = argparse.Namespace(**dict(vars(args), k_star=args.k))
-    cfg = _resolved(flags, _load_config_file(args), PRESET_FIELDS)
-    seed = cfg.pop("seed")
-    overrides = {name: value for name, value in cfg.items() if value is not None}
-    result = harness.run_experiment(preset, overrides, seed)
+    """Run a preset under the options given (None keeps the preset's value);
+    write {preset}_result.json and return (result, out_dir)."""
+    overrides = {name: v for name, v in _config(args).items()
+                 if name not in ("seed", "preset") and v is not None}
+    result = harness.run_experiment(preset, overrides, args.seed)
 
     out_dir = _out_dir(args)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -259,27 +232,19 @@ def _run_preset(args, preset):
 
 def _ragged_csv(path, columns):
     """Write {name: list} as aligned columns keyed by row index (sweep)."""
-    names = list(columns)
     length = max(len(v) for v in columns.values())
-    with open(path, "w") as fh:
-        fh.write("sweep," + ",".join(names) + "\n")
-        for s in range(length):
-            cells = [str(s)]
-            for name in names:
-                vals = columns[name]
-                cells.append(format_float(vals[s]) if s < len(vals) else "")
-            fh.write(",".join(cells) + "\n")
+    _write_rows(path, "sweep," + ",".join(columns), (
+        [str(s)] + [format_float(v[s]) if s < len(v) else "" for v in columns.values()]
+        for s in range(length)))
 
 
 def cmd_compare(args):
     result, out_dir = _run_preset(args, args.preset)
     csv_path = out_dir / f"{args.preset}_traces.csv"
     if args.preset == "fig4":
-        with open(csv_path, "w") as fh:
-            fh.write("mu,algorithm,converged,diverged,sweeps\n")
-            for run in result.runs:
-                fh.write(f"{format_float(run.mu)},{run.algorithm},{run.converged},"
-                         f"{run.diverged},{run.sweeps}\n")
+        _write_rows(csv_path, "mu,algorithm,converged,diverged,sweeps", (
+            [format_float(run.mu), run.algorithm, str(run.converged),
+             str(run.diverged), str(run.sweeps)] for run in result.runs))
     else:
         columns = {}
         for run in result.runs:
@@ -295,11 +260,9 @@ def cmd_compare(args):
 
 def cmd_sweep(args):
     result, out_dir = _run_preset(args, "mu_sweep")
-    with open(out_dir / "mu_sweep_cells.csv", "w") as fh:
-        fh.write("q,mu,sweeps,converged,final_rmse\n")
-        for run in result.runs:
-            fh.write(f"{format_float(run.q)},{format_float(run.mu)},{run.sweeps},"
-                     f"{run.converged},{format_float(run.final_rmse)}\n")
+    _write_rows(out_dir / "mu_sweep_cells.csv", "q,mu,sweeps,converged,final_rmse", (
+        [format_float(run.q), format_float(run.mu), str(run.sweeps),
+         str(run.converged), format_float(run.final_rmse)] for run in result.runs))
     if not args.quiet:
         reached = sum(run.converged for run in result.runs)
         print(f"mu sweep: {reached}/{len(result.runs)} cells reached the "
@@ -342,21 +305,17 @@ def _certify_problem(cfg, solution, inst):
         elif name == "mu":
             cfg[name], source = solvers.default_mu("gaita", inst.A), "default 0.95/L_max"
         else:
-            cfg[name] = SOLVE_FIELDS[name]
+            cfg[name] = PROBLEM_DEFAULTS[name]
             source = f"default {cfg[name]:g}"
         sources[f"{name}_source"] = source
     return sources
 
 
-CERTIFY_FIELDS = {"lam": None, "q": None, "mu": None, "tol": 1e-6,
-                  "instance_dir": None}
-
-
 def cmd_certify(args):
-    cfg = _resolved(args, _load_config_file(args), CERTIFY_FIELDS)
-    if cfg["instance_dir"] is None:
+    if args.instance_dir is None:
         raise LqsolveError("certify requires --instance-dir")
-    inst = load_instance(cfg["instance_dir"])
+    cfg = _config(args)
+    inst = load_instance(args.instance_dir)
     x = read_vector(args.solution)
     sources = _certify_problem(cfg, Path(args.solution), inst)
     p = inst.problem(cfg["lam"], cfg["q"])
@@ -380,73 +339,76 @@ def cmd_certify(args):
 # ---------------------------------------------------------------------------
 # parser
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        # one line, and exit 2 through main, for a bad flag or config value alike
+        raise LqsolveError(f"{self.prog}: {message}")
+
+
 def _add_common(sp):
-    sp.add_argument("--config", help="JSON file with default option values")
-    sp.add_argument("--seed", type=int, default=None)
-    sp.add_argument("--out-dir", default=None,
-                    help="output directory (default: $LQSOLVE_OUT_DIR or .)")
+    sp.add_argument("--config", help="JSON file of option values keyed by "
+                    "dest; flags on the command line win")
+    sp.add_argument("--out-dir", help="output directory (default: $LQSOLVE_OUT_DIR or .)")
     sp.add_argument("--quiet", action="store_true")
 
 
-def _add_size_flags(sp):
-    sp.add_argument("--m", type=int, default=None)
-    sp.add_argument("--n", type=int, default=None)
-    sp.add_argument("--k", type=int, default=None)
-
-
 def _add_instance_flags(sp):
-    _add_size_flags(sp)
-    sp.add_argument("--snr-db", dest="snr_db", type=float, default=None)
+    _add_common(sp)
+    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--m", type=int, default=250)
+    sp.add_argument("--n", type=int, default=500)
+    sp.add_argument("--k", type=int, default=15)
+    sp.add_argument("--snr-db", type=float)
     sp.add_argument("--no-column-normalize", dest="column_normalize",
-                    action="store_false", default=None)
+                    action="store_false")
+
+
+def _add_preset_flags(sp):
+    """Options of compare and sweep; each left at None keeps the preset's value."""
+    _add_common(sp)
+    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--m", type=int)
+    sp.add_argument("--n", type=int)
+    sp.add_argument("--k", dest="k_star", type=int)
+    sp.add_argument("--lam", type=float)
+    sp.add_argument("--max-sweeps", type=int)
 
 
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="lqsolve",
         description="lq (0<q<1) regularized least-squares solvers and experiments")
     sub = parser.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("gen", help="generate a synthetic instance")
-    _add_common(sp)
     _add_instance_flags(sp)
     sp.set_defaults(func=cmd_gen)
 
     sp = sub.add_parser("solve", help="run one solver on an instance")
-    _add_common(sp)
     _add_instance_flags(sp)
-    sp.add_argument("--instance-dir", default=None,
-                    help="directory produced by `lqsolve gen`")
-    sp.add_argument("--algorithm", choices=("gaita", "jaita"), default=None)
-    sp.add_argument("--lam", type=float, default=None)
-    sp.add_argument("--q", type=float, default=None)
-    sp.add_argument("--mu", type=float, default=None)
-    sp.add_argument("--max-sweeps", dest="max_sweeps", type=int, default=None)
-    sp.add_argument("--stop", choices=("iterate_change", "rmse", "cap"),
-                    default=None)
-    sp.add_argument("--tol", type=float, default=None)
-    sp.add_argument("--record-every", dest="record_every", type=int, default=None)
+    sp.add_argument("--instance-dir", help="directory produced by `lqsolve gen`")
+    sp.add_argument("--algorithm", choices=("gaita", "jaita"), default="gaita")
+    sp.add_argument("--lam", type=float, default=PROBLEM_DEFAULTS["lam"])
+    sp.add_argument("--q", type=float, default=PROBLEM_DEFAULTS["q"])
+    sp.add_argument("--mu", type=float)
+    sp.add_argument("--max-sweeps", type=int, default=10_000)
+    sp.add_argument("--stop", choices=tuple(STOP_RULES), default="iterate_change")
+    sp.add_argument("--tol", type=float, default=1e-10)
+    sp.add_argument("--record-every", type=int, default=1)
     sp.set_defaults(func=cmd_solve)
 
     sp = sub.add_parser("compare", help="run a preset comparison experiment")
-    _add_common(sp)
-    _add_size_flags(sp)
+    _add_preset_flags(sp)
     sp.add_argument("--preset", choices=("fig1", "fig3", "fig4"), required=True)
-    sp.add_argument("--lam", type=float, default=None)
-    sp.add_argument("--max-sweeps", dest="max_sweeps", type=int, default=None)
     sp.set_defaults(func=cmd_compare)
 
     sp = sub.add_parser("sweep", help="run the (mu, q) recovery sweep")
-    _add_common(sp)
-    _add_size_flags(sp)
-    sp.add_argument("--lam", type=float, default=None)
-    sp.add_argument("--max-sweeps", dest="max_sweeps", type=int, default=None)
+    _add_preset_flags(sp)
     sp.set_defaults(func=cmd_sweep)
 
     sp = sub.add_parser("prox-eval", help="evaluate the thresholding operator")
-    _add_common(sp)
     sp.add_argument("--q", type=float, required=True)
-    sp.add_argument("--lambda-mu", dest="lambda_mu", type=float, required=True,
+    sp.add_argument("--lambda-mu", type=float, required=True,
                     help="the product lambda*mu")
     sp.add_argument("--z", type=float, nargs="+", required=True)
     sp.set_defaults(func=cmd_prox_eval)
@@ -454,23 +416,52 @@ def build_parser():
     sp = sub.add_parser("certify", help="stationarity + local-min certificates")
     _add_common(sp)
     sp.add_argument("--solution", required=True, help="vector CSV file")
-    sp.add_argument("--instance-dir", default=None)
-    sp.add_argument("--lam", type=float, default=None)
-    sp.add_argument("--q", type=float, default=None)
-    sp.add_argument("--mu", type=float, default=None)
-    sp.add_argument("--tol", type=float, default=None)
+    sp.add_argument("--instance-dir")
+    sp.add_argument("--lam", type=float)
+    sp.add_argument("--q", type=float)
+    sp.add_argument("--mu", type=float)
+    sp.add_argument("--tol", type=float, default=1e-6)
     sp.set_defaults(func=cmd_certify)
     return parser
 
 
+def _parse(parser, argv):
+    """Parse argv; with --config, parse again with the file's flags placed
+    after the subcommand and before argv's own flags, so those win."""
+    args = parser.parse_args(argv)
+    if getattr(args, "config", None) is None:
+        return args
+    with open(args.config) as fh:
+        cfg = json.load(fh)
+    if not isinstance(cfg, dict):
+        raise LqsolveError(f"{args.config}: not a JSON object")
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    options = {a.dest: a for a in sub.choices[args.command]._actions
+               if a.option_strings and a.dest != "help"}
+    flags = []
+    for name, value in cfg.items():
+        action = options.get(name)
+        if action is None:
+            raise LqsolveError(f"{args.config}: unknown key {name!r}")
+        switch = action.nargs == 0
+        if value is None or switch and value is action.default:
+            continue  # the option keeps its default
+        # a switch takes no value: argparse rejects any but the other bool
+        flag = action.option_strings[0]
+        flags.append(flag if switch and value is action.const else f"{flag}={value}")
+    try:
+        return parser.parse_args(argv[:1] + flags + argv[1:])
+    except LqsolveError as exc:
+        raise LqsolveError(f"{args.config}: {exc}") from None
+
+
 def main(argv=None):
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_BAD_CONFIG if exc.code not in (0, None) else 0
-    try:
+        args = _parse(build_parser(), argv)
         return args.func(args)
+    except SystemExit as exc:  # --help
+        return exc.code
     except OSError as exc:  # before LqsolveError: CorruptFile is both
         print(f"I/O error: {exc}", file=sys.stderr)
         return EXIT_IO

@@ -1,5 +1,7 @@
 import argparse
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -246,13 +248,63 @@ class TestExitCodes:
     def test_bad_flag_value(self, capsys):
         assert run_cli("solve", "--lam", "not-a-number") == 2
 
-    def test_bad_stop_rule_in_config(self, tmp_path, instance_dir, capsys):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"stop": "bogus"}))
-        code = run_cli("solve", "--instance-dir", str(instance_dir),
-                       "--config", str(cfg), "--out-dir", str(tmp_path),
-                       "--quiet")
+    @pytest.mark.parametrize("command,cfg", [
+        (("solve",), {"stop": "bogus"}),
+        (("solve",), {"algorithm": "bogus"}),
+        (("solve",), {"lamda": 0.5}),
+        (("solve",), {"max_sweeps": 50.5}),
+        (("solve",), [1, 2]),
+        (("compare", "--preset", "fig1"), {"k": 2}),  # compare's key is k_star
+    ], ids=["stop", "algorithm", "misspelt-key", "float-sweeps", "not-object",
+            "compare-k"])
+    def test_bad_stop_rule_in_config(self, command, cfg, tmp_path, instance_dir,
+                                     capsys):
+        # each bad config file exits 2 with one line on stderr and writes nothing
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        target = ("--instance-dir", str(instance_dir)) if command == ("solve",) \
+            else TestCompareAndSweep.DESK
+        out = tmp_path / "out"
+        code = run_cli(*command, *target, "--config", str(cfg_path),
+                       "--out-dir", str(out), "--quiet")
         assert code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "cfg.json" in err
+        assert not out.exists()
+
+    def test_null_in_config_keeps_the_default(self, tmp_path, instance_dir):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"lam": None, "max_sweeps": 50}))
+        out = tmp_path / "out"
+        assert run_cli("solve", "--instance-dir", str(instance_dir),
+                       "--config", str(cfg_path), "--out-dir", str(out), "--quiet") == 0
+        config = json.loads((out / "summary.json").read_text())["config"]
+        assert config["lam"] == 0.001 and config["max_sweeps"] == 50
+
+    def test_bad_config_value_in_a_process(self, tmp_path):
+        # the argv=None path of main and the process's own exit status
+        cfg_path = tmp_path / "bad.json"
+        cfg_path.write_text(json.dumps({"max_sweeps": "x"}))
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "lqsolve.cli", "solve", "--config", str(cfg_path),
+             "--out-dir", str(tmp_path / "out"), "--quiet"],
+            capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr and "max-sweeps" in proc.stderr
+
+    def test_manifest_spec_fields_are_checked(self, tmp_path, instance_dir, capsys):
+        manifest_path = instance_dir / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        solve = ("solve", "--instance-dir", str(instance_dir),
+                 "--out-dir", str(tmp_path / "run"), "--quiet")
+        for spec in (dict(manifest["spec"], extra=1),
+                     {k: v for k, v in manifest["spec"].items() if k != "seed"}):
+            manifest_path.write_text(json.dumps(dict(manifest, spec=spec)))
+            assert run_cli(*solve) == 2
+            err = capsys.readouterr().err
+            assert ("extra" if "extra" in spec else "seed") in err
+            assert "Traceback" not in err
 
     def test_negative_lam(self, tmp_path, instance_dir, capsys):
         code = run_cli("solve", "--instance-dir", str(instance_dir),
@@ -402,6 +454,15 @@ class TestCompareAndSweep:
         assert len(lines) == 1 + 50  # 5 exponents x 10 step sizes
         assert (out / "mu_sweep_result.json").exists()
 
+    def test_config_k_star_reaches_compare(self, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"k_star": 2}))
+        out = tmp_path / "fig1"
+        assert run_cli("compare", "--preset", "fig1", "--m", "25", "--n", "50",
+                       "--max-sweeps", "50", "--config", str(cfg_path),
+                       "--out-dir", str(out), "--quiet") == 0
+        assert json.loads((out / "fig1_result.json").read_text())["config"]["k_star"] == 2
+
     def test_compare_determinism(self, tmp_path):
         outs = []
         for name in ("c1", "c2"):
@@ -423,20 +484,26 @@ def test_presets_reject_instance_flags_they_ignore(command, flag, tmp_path, caps
 
 
 def test_every_flag_is_read():
-    # each option's dest must be a key that its command resolves or reads
-    common = {"config", "seed", "out_dir", "quiet"}
-    preset = set(cli.PRESET_FIELDS) | {"k", "preset"}  # --k sets k_star
-    reads = {
-        "gen": set(cli.GEN_FIELDS),
-        "solve": set(cli.SOLVE_FIELDS),
-        "compare": preset,
-        "sweep": preset,
-        "certify": set(cli.CERTIFY_FIELDS) | {"solution"},
+    # each subcommand's option dests in full; each is read by its command or
+    # echoed in its config (vars(args) less cli.NOT_ECHOED)
+    dests = {
+        "gen": {"config", "out_dir", "quiet", "seed", "m", "n", "k", "snr_db",
+                "column_normalize"},
+        "solve": {"config", "out_dir", "quiet", "seed", "m", "n", "k", "snr_db",
+                  "column_normalize", "instance_dir", "algorithm", "lam", "q", "mu",
+                  "max_sweeps", "stop", "tol", "record_every"},
+        "compare": {"config", "out_dir", "quiet", "seed", "m", "n", "k_star", "lam",
+                    "max_sweeps", "preset"},
+        "sweep": {"config", "out_dir", "quiet", "seed", "m", "n", "k_star", "lam",
+                  "max_sweeps"},
+        "certify": {"config", "out_dir", "quiet", "solution", "instance_dir", "lam",
+                    "q", "mu", "tol"},
         "prox-eval": {"q", "lambda_mu", "z"},
     }
     sub = next(a for a in cli.build_parser()._actions
                if isinstance(a, argparse._SubParsersAction))
-    assert set(sub.choices) == set(reads)
-    for name, sp in sub.choices.items():
-        dests = {a.dest for a in sp._actions if a.option_strings and a.dest != "help"}
-        assert dests - reads[name] - common == set(), name
+    assert set(sub.choices) == set(dests)
+    wrong = {name for name, sp in sub.choices.items()
+             if {a.dest for a in sp._actions if a.option_strings and a.dest != "help"}
+             != dests[name]}
+    assert wrong == set()
