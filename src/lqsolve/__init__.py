@@ -17,8 +17,7 @@ from .errors import (AsymmetricMatrix, ConvergenceFailure, CorruptFile,
 from .harness import (ExperimentResult, GeneratedInstance, InstanceSpec,
                       add_noise_snr, generate_instance, rmse, run_experiment)
 from .prox import ProxParams, prox_scalar, prox_vector, solve_inverse
-from .solvers import (IterateChange, IterationTrace, RmseVsReference,
-                      SolverConfig, SolverState, SweepCapOnly,
-                      gaita_run, gaita_update, jaita_run, select_index)
+from .solvers import (STOP_RULES, IterationTrace, SolverConfig, SolverState,
+                      gaita_run, gaita_update, jaita_run)
 
 __version__ = "0.1.0"

@@ -4,7 +4,9 @@ Subcommands: gen | solve | compare | sweep | prox-eval | certify.
 Outputs are plain-text CSV (one-line "rows,cols" header for arrays,
 17-significant-digit floats) plus JSON summaries that echo the fully
 resolved configuration, so any result can be regenerated from its own
-output.  The parser holds every option's default, type and choices.
+output.  The parser holds every option's default, type and choices;
+solve's --max-sweeps, --stop, --tol and --record-every read theirs from
+solvers.SolverConfig, which also rejects a negative or NaN --tol.
 `--config FILE` (gen, solve, compare, sweep, certify) reads a JSON object
 whose keys are that subcommand's option dests (`k_star` for compare's and
 sweep's `--k`); each value becomes its flag, placed before the command
@@ -175,8 +177,6 @@ def cmd_gen(args):
 
 # solve's defaults for the problem, which certify falls back to as well
 PROBLEM_DEFAULTS = {"lam": 0.001, "q": 0.5}
-STOP_RULES = {"iterate_change": solvers.IterateChange, "rmse": solvers.RmseVsReference,
-              "cap": lambda tol: solvers.SweepCapOnly()}
 
 
 def cmd_solve(args):
@@ -184,7 +184,7 @@ def cmd_solve(args):
     p = inst.problem(args.lam, args.q)
     mu = args.mu if args.mu is not None else solvers.default_mu(args.algorithm, inst.A)
     sconf = solvers.SolverConfig(
-        mu=mu, max_sweeps=args.max_sweeps, stop_rule=STOP_RULES[args.stop](args.tol),
+        mu=mu, max_sweeps=args.max_sweeps, stop=args.stop, tol=args.tol,
         record_every=args.record_every,
         reference=inst.x_true if np.any(inst.x_true) else None)
     run = solvers.gaita_run if args.algorithm == "gaita" else solvers.jaita_run
@@ -391,10 +391,11 @@ def build_parser():
     sp.add_argument("--lam", type=float, default=PROBLEM_DEFAULTS["lam"])
     sp.add_argument("--q", type=float, default=PROBLEM_DEFAULTS["q"])
     sp.add_argument("--mu", type=float)
-    sp.add_argument("--max-sweeps", type=int, default=10_000)
-    sp.add_argument("--stop", choices=tuple(STOP_RULES), default="iterate_change")
-    sp.add_argument("--tol", type=float, default=1e-10)
-    sp.add_argument("--record-every", type=int, default=1)
+    run = solvers.SolverConfig  # the run settings and their defaults
+    sp.add_argument("--max-sweeps", type=int, default=run.max_sweeps)
+    sp.add_argument("--stop", choices=solvers.STOP_RULES, default=run.stop)
+    sp.add_argument("--tol", type=float, default=run.tol)
+    sp.add_argument("--record-every", type=int, default=run.record_every)
     sp.set_defaults(func=cmd_solve)
 
     sp = sub.add_parser("compare", help="run a preset comparison experiment")

@@ -26,8 +26,7 @@ import numpy as np
 
 from .core import ProblemInstance
 from .errors import InvalidInstance
-from .solvers import (IterateChange, RmseVsReference, SolverConfig,
-                      _rmse_vs, default_mu, gaita_run, jaita_run)
+from .solvers import SolverConfig, _rmse_vs, default_mu, gaita_run, jaita_run
 from . import core
 
 PRESETS = ("fig1", "fig3", "fig4", "mu_sweep")
@@ -199,7 +198,7 @@ def _run_fig1(overrides, seed):
         for alg in ("gaita", "jaita"):
             runs.append(_solve(alg, p, cfg["mu"], inst.x_true,
                                max_sweeps=cfg["max_sweeps"],
-                               stop_rule=IterateChange(cfg["step_tol"])))
+                               tol=cfg["step_tol"]))
     return ExperimentResult("fig1", seed, cfg, runs)
 
 
@@ -218,7 +217,7 @@ def _run_fig3(overrides, seed):
         for alg, mu, cap in (("gaita", cfg["mu_gaita"], cfg["max_sweeps"]),
                              ("jaita", mu_jaita, cfg["max_sweeps_jaita"])):
             rec = _solve(alg, p, mu, inst.x_true, max_sweeps=cap,
-                         stop_rule=IterateChange(cfg["step_tol"]),
+                         tol=cfg["step_tol"],
                          reference=inst.x_true, record_iterates=True)
             rec.error_trace = [float(np.linalg.norm(x - inst.x_true))
                                for x in rec.trace.iterates]
@@ -241,7 +240,7 @@ def _run_fig4(overrides, seed):
         for alg in ("gaita", "jaita"):
             runs.append(_solve(alg, p, mu, inst.x_true,
                                max_sweeps=cfg["max_sweeps"],
-                               stop_rule=IterateChange(cfg["step_tol"])))
+                               tol=cfg["step_tol"]))
     return ExperimentResult("fig4", seed, cfg, runs)
 
 
@@ -259,7 +258,7 @@ def _run_mu_sweep(overrides, seed):
         for mu in cfg["mu_list"]:
             rec = _solve("gaita", p, mu, inst.x_true,
                          max_sweeps=cfg["max_sweeps"],
-                         stop_rule=RmseVsReference(cfg["rmse_tol"]),
+                         stop="rmse", tol=cfg["rmse_tol"],
                          reference=inst.x_true)
             rec.objective_trace = []  # cells are summarized, not traced
             runs.append(rec)

@@ -5,7 +5,8 @@ residual r = A x - y (rank-1 updates); the Jacobi baseline takes one
 full-gradient step.  One *sweep* means N coordinate updates for the
 cyclic solver and one full-vector update for the Jacobi one.  Both run in
 one loop, which refreshes the residual once per sweep, applies the stop
-rules and one divergence guard, and records traces at sweep granularity.
+rule and one divergence guard, and records traces at sweep granularity.
+SolverConfig holds a run's settings; its ``stop`` is one of STOP_RULES.
 Every recorded value is deterministic: the trace holds no wall times.
 The C sweep screens: it leaves a zero coordinate alone, without its
 column's dot product, while a bound on that product proves the
@@ -16,7 +17,7 @@ the constant prox.TOL.  default_mu gives each solver's default step size.
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,35 +32,25 @@ DIVERGENCE_FACTOR = 1e6
 # ---------------------------------------------------------------------------
 # configuration
 
-@dataclass(frozen=True)
-class IterateChange:
-    """Stop once a sweep's step is <= tol.
-
-    The step is measured per solver: for gaita the largest single-coordinate
-    change in the sweep, for jaita the 2-norm of the whole update.
-    """
-
-    tol: float = 1e-10
-
-
-@dataclass(frozen=True)
-class RmseVsReference:
-    """Stop once ||x - reference|| / ||reference|| <= tol, against
-    SolverConfig.reference."""
-
-    tol: float
-
-
-@dataclass(frozen=True)
-class SweepCapOnly:
-    """Run until max_sweeps; never stop early."""
+STOP_RULES = ("iterate_change", "rmse", "cap")
 
 
 @dataclass
 class SolverConfig:
+    """The settings of one run.
+
+    ``stop`` names the rule that ends a run before ``max_sweeps``:
+    "iterate_change" stops once a sweep's step is <= ``tol``, the step
+    being the largest single-coordinate change of the sweep for gaita and
+    the 2-norm of the whole update for jaita; "rmse" stops once
+    ||x - reference|| / ||reference|| <= ``tol``; "cap" runs to
+    ``max_sweeps`` and ignores ``tol``.
+    """
+
     mu: float
     max_sweeps: int = 10_000
-    stop_rule: object = field(default_factory=IterateChange)
+    stop: str = "iterate_change"
+    tol: float = 1e-10
     record_every: int = 1          # in sweeps; initial state and final sweep always recorded
     reference: np.ndarray | None = None  # ground truth of the RMSE column and stop rule
     record_iterates: bool = False
@@ -69,11 +60,16 @@ class SolverConfig:
             raise InvalidInstance(f"mu must be positive, got {self.mu}")
         if self.max_sweeps < 0 or self.record_every < 1:
             raise InvalidInstance("max_sweeps must be >= 0 and record_every >= 1")
+        if self.stop not in STOP_RULES:
+            raise InvalidInstance(f"unknown stop rule {self.stop!r}; "
+                                  f"choose from {', '.join(STOP_RULES)}")
+        if not (self.tol >= 0):
+            raise InvalidInstance(f"tol must be >= 0, got {self.tol}")
         if self.reference is not None:
             self.reference = core.as_vector(self.reference, "reference")
             if np.linalg.norm(self.reference) == 0.0:
                 raise InvalidInstance("the RMSE reference is zero")
-        elif isinstance(self.stop_rule, RmseVsReference):
+        elif self.stop == "rmse":
             raise InvalidInstance("the RMSE stop rule needs a nonzero reference "
                                   "(ground truth)")
 
@@ -154,14 +150,6 @@ class IterationTrace:
 # ---------------------------------------------------------------------------
 # coordinate updates
 
-def select_index(n, N):
-    """Cyclic 1-based coordinate index for update counter n (0-based)."""
-    if N < 1 or n < 0:
-        raise InvalidInstance("select_index needs N >= 1 and n >= 0")
-    r = (n + 1) % N
-    return N if r == 0 else r
-
-
 def _coordinate_step(A, x, r, mu, params, i):
     """Update coordinate i (0-based) in place on x and r; returns the change.
 
@@ -185,7 +173,7 @@ def gaita_update(state, p, config):
     """
     x, r = state.x.copy(), state.residual.copy()
     _coordinate_step(p.A, x, r, config.mu, ProxParams(c=p.lam * config.mu, q=p.q),
-                     select_index(state.n, p.n) - 1)
+                     state.n % p.n)
     return SolverState(x=x, n=state.n + 1, residual=r,
                        objective=objective_from_residual(p, x, r))
 
@@ -271,13 +259,17 @@ def _run(p, x0, config, algorithm, step, mu_bound, updates_per_sweep):
     """The loop both solvers share; returns (final state, trace).
 
     ``step(x, r)`` does one sweep in place on x and returns the step
-    metric that IterateChange compares with its tol.  The loop refreshes
-    r = A x - y after every sweep, records, and applies the stop rules.
+    metric that stop "iterate_change" compares with config.tol.  The loop
+    refreshes r = A x - y after every sweep, records, and applies the stop
+    rule.
     ``mu_bound(A)`` is the curvature bound whose inverse the step size
     should stay below.
     """
     state = SolverState.initial(p, x0)
     ref = config.reference
+    if ref is not None and ref.shape[0] != p.n:
+        raise DimensionMismatch(f"the RMSE reference has length {ref.shape[0]}, "
+                                f"expected {p.n}")
     ref_norm = np.linalg.norm(ref) if ref is not None else None  # once per run
     trace = IterationTrace()
     trace.flags = {
@@ -305,11 +297,8 @@ def _run(p, x0, config, algorithm, step, mu_bound, updates_per_sweep):
         rmse = _rmse_vs(x, ref, ref_norm) if ref is not None else math.nan
 
         diverged = not (state.objective <= guard)
-        stop = False
-        if isinstance(config.stop_rule, IterateChange):
-            stop = step_metric <= config.stop_rule.tol
-        elif isinstance(config.stop_rule, RmseVsReference):
-            stop = rmse <= config.stop_rule.tol
+        stop = config.stop != "cap" and (
+            step_metric if config.stop == "iterate_change" else rmse) <= config.tol
 
         if (stop or diverged or sweep % config.record_every == 0
                 or sweep == config.max_sweeps):
@@ -324,8 +313,7 @@ def _run(p, x0, config, algorithm, step, mu_bound, updates_per_sweep):
             trace.flags["converged"] = True
             break
     else:
-        trace.flags["did_not_converge"] = not isinstance(
-            config.stop_rule, SweepCapOnly)
+        trace.flags["did_not_converge"] = config.stop != "cap"
     trace.flags["sweeps"] = sweep
     state.n = sweep * updates_per_sweep
     return state, trace

@@ -121,9 +121,8 @@ def plain_run(p, x0, config, algorithm):
         obj = objective_from_residual(p, x, r)
         e = rmse()
         diverged = not obj <= guard
-        rule = config.stop_rule
-        stop = (step <= rule.tol if isinstance(rule, solvers.IterateChange)
-                else e <= rule.tol if isinstance(rule, solvers.RmseVsReference)
+        stop = (step <= config.tol if config.stop == "iterate_change"
+                else e <= config.tol if config.stop == "rmse"
                 else False)
         if (stop or diverged or sweep % config.record_every == 0
                 or sweep == config.max_sweeps):
@@ -135,8 +134,7 @@ def plain_run(p, x0, config, algorithm):
             trace.flags["diverged" if diverged else "converged"] = True
             break
     else:
-        trace.flags["did_not_converge"] = not isinstance(
-            config.stop_rule, solvers.SweepCapOnly)
+        trace.flags["did_not_converge"] = config.stop != "cap"
     trace.flags["sweeps"] = sweep
     return x, r, obj, trace
 

@@ -16,8 +16,7 @@ from lqsolve.diagnostics import (certify_local_min, check_relative_error,
 from lqsolve.harness import (MU_GRID, Q_GRID, InstanceSpec, generate_instance,
                              rmse, run_experiment)
 from lqsolve.prox import ProxParams, prox_scalar, prox_vector
-from lqsolve.solvers import (IterateChange, SolverConfig, SolverState,
-                             gaita_run, gaita_update, select_index)
+from lqsolve.solvers import SolverConfig, SolverState, gaita_run, gaita_update
 
 import conftest
 from conftest import bisect_root
@@ -99,7 +98,7 @@ def test_criterion_03_sufficient_decrease():
         for _ in range(400):  # sweeps
             sweep_max = 0.0
             for _ in range(p.n):
-                i = select_index(state.n, p.n) - 1
+                i = state.n % p.n
                 new = gaita_update(state, p, config)
                 delta = new.x[i] - state.x[i]
                 checked += 1
@@ -197,9 +196,7 @@ def test_criterion_07_stationarity_of_limits():
         inst = generate_instance(InstanceSpec(5, 6, 2, seed=50 + seed))
         p = inst.problem(0.01, 0.5)
         mu = 0.9 / l_max(p.A)
-        state, trace = gaita_run(
-            p, np.zeros(p.n),
-            SolverConfig(mu=mu, stop_rule=IterateChange(1e-13)))
+        state, trace = gaita_run(p, np.zeros(p.n), SolverConfig(mu=mu, tol=1e-13))
         ok &= trace.flags["converged"]
         params = ProxParams(c=p.lam * mu, q=p.q)
         z = state.x - mu * (p.A.T @ (p.A @ state.x - p.y))
@@ -248,8 +245,7 @@ def test_criterion_09_relative_error_bound():
         mu = 0.95 / l_max(p.A)
         _, trace = gaita_run(
             p, np.zeros(p.n),
-            SolverConfig(mu=mu, record_iterates=True,
-                         stop_rule=IterateChange(1e-12)))
+            SolverConfig(mu=mu, record_iterates=True, tol=1e-12))
         signs = trace.sign_history()
         final = signs[-1]
         changes = np.nonzero([not np.array_equal(row, final) for row in signs])[0]

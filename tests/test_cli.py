@@ -272,6 +272,22 @@ class TestExitCodes:
         assert err.count("\n") == 1 and "cfg.json" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("how", ["flag-nan", "config-negative"])
+    def test_bad_tol_exits_2(self, how, tmp_path, instance_dir, capsys):
+        # SolverConfig rejects the tol before anything runs or is written
+        if how == "flag-nan":
+            extra = ("--tol", "nan")
+        else:
+            cfg_path = tmp_path / "cfg.json"
+            cfg_path.write_text(json.dumps({"tol": -1}))
+            extra = ("--config", str(cfg_path))
+        out = tmp_path / "out"
+        assert run_cli("solve", "--instance-dir", str(instance_dir), *extra,
+                       "--out-dir", str(out), "--quiet") == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "tol must be >= 0" in err
+        assert not out.exists()
+
     def test_null_in_config_keeps_the_default(self, tmp_path, instance_dir):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"lam": None, "max_sweeps": 50}))

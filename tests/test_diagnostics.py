@@ -8,8 +8,7 @@ from lqsolve.diagnostics import (certify_local_min, check_relative_error,
                                  check_stationary, check_update_optimality)
 from lqsolve.errors import InvalidInstance, NotStationary
 from lqsolve.prox import ProxParams, prox_vector
-from lqsolve.solvers import (IterateChange, SolverConfig, SolverState,
-                             gaita_run, gaita_update, select_index)
+from lqsolve.solvers import SolverConfig, SolverState, gaita_run, gaita_update
 
 from conftest import bisect_root, small_problem
 
@@ -65,8 +64,7 @@ class TestCheckStationary:
             p, _ = small_problem(seed=100 + seed, m=5, n=6, k=2, lam=0.01)
             mu = 0.9 / l_max(p.A)
             state, _ = gaita_run(p, np.zeros(p.n),
-                                 SolverConfig(mu=mu,
-                                              stop_rule=IterateChange(1e-13)))
+                                 SolverConfig(mu=mu, tol=1e-13))
             gap = np.linalg.norm(thresholded_gradient_map(p, state.x, mu)
                                  - state.x)
             verdict = check_stationary(p, state.x, mu, tol=1e-6).is_stationary
@@ -85,7 +83,7 @@ class TestUpdateOptimality:
         config = SolverConfig(mu=mu)
         state = SolverState.initial(p, np.zeros(p.n))
         for _ in range(2 * p.n):
-            i = select_index(state.n, p.n) - 1
+            i = state.n % p.n
             new = gaita_update(state, p, config)
             assert check_update_optimality(state.x, new.x, p, mu, i, tol=1e-8)
             state = new
@@ -152,8 +150,7 @@ class TestRelativeError:
     def test_converged_tail_of_run(self):
         p, _ = small_problem(seed=25, lam=0.001)
         mu = 0.95 / l_max(p.A)
-        config = SolverConfig(mu=mu, record_iterates=True,
-                              stop_rule=IterateChange(1e-12))
+        config = SolverConfig(mu=mu, record_iterates=True, tol=1e-12)
         _, trace = gaita_run(p, np.zeros(p.n), config)
         tail = trace.iterates[-8:]
         assert check_relative_error(p, tail, mu, slack=1e-9)

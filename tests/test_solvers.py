@@ -12,27 +12,10 @@ from lqsolve.core import ProblemInstance, l_max, objective, spectral_norm_sq
 from lqsolve.errors import ConvergenceFailure, DimensionMismatch, InvalidInstance
 from lqsolve.harness import InstanceSpec, generate_instance
 from lqsolve.prox import ProxParams, prox_vector
-from lqsolve.solvers import (IterateChange, IterationTrace, RmseVsReference,
-                             SolverConfig, SolverState, SweepCapOnly,
-                             _sweep_python, gaita_run, gaita_update, jaita_run,
-                             select_index)
+from lqsolve.solvers import (IterationTrace, SolverConfig, SolverState,
+                             _sweep_python, gaita_run, gaita_update, jaita_run)
 
 from conftest import bisect_root, plain_run, small_problem
-
-
-class TestSelectIndex:
-    def test_cycles_one_based(self):
-        assert [select_index(n, 3) for n in range(6)] == [1, 2, 3, 1, 2, 3]
-
-    def test_single_coordinate(self):
-        assert select_index(0, 1) == 1
-        assert select_index(7, 1) == 1
-
-    def test_rejects_bad_arguments(self):
-        with pytest.raises(InvalidInstance):
-            select_index(-1, 3)
-        with pytest.raises(InvalidInstance):
-            select_index(0, 0)
 
 
 class TestGaitaUpdate:
@@ -71,8 +54,8 @@ class TestGaitaUpdate:
         state = SolverState.initial(p, np.zeros(p.n))
         for _ in range(2 * p.n):
             new = gaita_update(state, p, config)
-            delta = new.x[select_index(state.n, p.n) - 1] - \
-                state.x[select_index(state.n, p.n) - 1]
+            i = state.n % p.n
+            delta = new.x[i] - state.x[i]
             assert state.objective - new.objective >= coeff * delta ** 2 - 1e-9
             state = new
 
@@ -115,8 +98,7 @@ class TestGaitaRun:
 
     def test_matches_chained_updates(self):
         p, _ = small_problem(seed=6, m=8, n=12, k=2)
-        config = SolverConfig(mu=0.9 / l_max(p.A), max_sweeps=5,
-                              stop_rule=SweepCapOnly())
+        config = SolverConfig(mu=0.9 / l_max(p.A), max_sweeps=5, stop="cap")
         state, _ = gaita_run(p, np.zeros(p.n), config)
         ref = SolverState.initial(p, np.zeros(p.n))
         for sweep in range(5):
@@ -160,7 +142,7 @@ class TestGaitaRun:
         for q, factor, sweeps, spec in self.KERNEL_CASES:
             p, inst = small_problem(q=q, **spec)
             config = SolverConfig(mu=factor / l_max(p.A), max_sweeps=sweeps,
-                                  stop_rule=SweepCapOnly(),
+                                  stop="cap",
                                   reference=inst.x_true)
             runs = []
             for kernel in (solvers._sweep_c, _sweep_python):
@@ -181,11 +163,11 @@ class TestGaitaRun:
         assert not t_ok.flags["mu_warning"]
         assert t_hot.flags["mu_warning"]
 
-    def test_rmse_stop_rule(self):
+    def test_rmse_stop(self):
         # a seed where the true signal is recoverable at this small size
         p, inst = small_problem(seed=11, lam=0.001)
         config = SolverConfig(mu=0.95 / l_max(p.A),
-                              stop_rule=RmseVsReference(1e-2), reference=inst.x_true)
+                              stop="rmse", tol=1e-2, reference=inst.x_true)
         _, trace = gaita_run(p, np.zeros(p.n), config)
         assert trace.flags["converged"]
         assert trace.column("rmse")[-1] <= 1e-2
@@ -303,8 +285,7 @@ def test_unbuildable_kernel_reports_why(fault, reason, tmp_path, monkeypatch):
 
 
 def one_jaita_step(p, x0, mu):
-    state, _ = jaita_run(p, x0, SolverConfig(mu=mu, max_sweeps=1,
-                                             stop_rule=SweepCapOnly()))
+    state, _ = jaita_run(p, x0, SolverConfig(mu=mu, max_sweeps=1, stop="cap"))
     return state
 
 
@@ -367,7 +348,7 @@ def test_step_norm_spans_skipped_sweeps(run, bound, factor):
     # step_norm is the change since the previous record, not the last step
     p, _ = small_problem(seed=3)
     config = SolverConfig(mu=factor / bound(p.A), max_sweeps=20,
-                          stop_rule=SweepCapOnly(), record_every=3,
+                          stop="cap", record_every=3,
                           record_iterates=True)
     _, trace = run(p, np.zeros(p.n), config)
     it = trace.iterates
@@ -424,7 +405,7 @@ class TestScreening:
     # (0.9, 0.95) never repeats, with 7 zero coordinates within 10% of
     # the threshold, so their bounds reach it and they are recomputed
     CELLS = [(0.5, 0.5, 200), (0.5, 0.95, 120), (0.9, 0.95, 400)]
-    RULES = {"cap": SweepCapOnly(), "rmse": RmseVsReference(1e-2)}
+    RULES = {"cap": {"stop": "cap"}, "rmse": {"stop": "rmse", "tol": 1e-2}}
 
     @pytest.mark.parametrize("rule", sorted(RULES))
     @pytest.mark.parametrize("q, mu, cap", CELLS)
@@ -434,9 +415,8 @@ class TestScreening:
             for iterates in (False, True):
                 config = SolverConfig(
                     mu=mu, max_sweeps=cap, record_every=every,
-                    stop_rule=self.RULES[rule],
                     reference=noisy_instance.x_true,
-                    record_iterates=iterates)
+                    record_iterates=iterates, **self.RULES[rule])
                 _assert_same_run(gaita_run(p, np.zeros(p.n), config),
                                  plain_run(p, np.zeros(p.n), config, "gaita"))
 
@@ -444,7 +424,7 @@ class TestScreening:
     def test_screening_skips_most_dot_products(self, noisy_instance, monkeypatch,
                                                q, mu, cap):
         p = noisy_instance.problem(0.009, q)
-        config = SolverConfig(mu=mu, max_sweeps=cap, stop_rule=SweepCapOnly())
+        config = SolverConfig(mu=mu, max_sweeps=cap, stop="cap")
         with counting_ddot(monkeypatch) as calls:
             got = gaita_run(p, np.zeros(p.n), config)
         assert len(calls) < 0.25 * cap * p.n
@@ -497,7 +477,7 @@ class TestScreening:
     def test_jaita_matches_plain_loop(self, noisy_instance, every):
         p = noisy_instance.problem(0.009, 0.5)
         config = SolverConfig(mu=0.95 / spectral_norm_sq(p.A), max_sweeps=420,
-                              record_every=every, stop_rule=SweepCapOnly(),
+                              record_every=every, stop="cap",
                               reference=noisy_instance.x_true,
                               record_iterates=True)
         _assert_same_run(jaita_run(p, np.zeros(p.n), config),
@@ -526,8 +506,7 @@ def test_nan_objective_is_divergence(run, monkeypatch):
     p, _ = small_problem(seed=3)
     bound = l_max if run is gaita_run else spectral_norm_sq
     _, trace = run(p, np.zeros(p.n),
-                   SolverConfig(mu=0.5 / bound(p.A), max_sweeps=100,
-                                stop_rule=SweepCapOnly()))
+                   SolverConfig(mu=0.5 / bound(p.A), max_sweeps=100, stop="cap"))
     assert trace.flags["diverged"] and trace.flags["sweeps"] == 5
     assert not trace.flags["converged"]
     assert np.isnan(trace.rows[-1][2])
@@ -568,7 +547,21 @@ class TestConfigValidation:
 
     def test_rmse_stop_needs_reference(self):
         with pytest.raises(InvalidInstance, match="needs a nonzero reference"):
-            SolverConfig(mu=0.5, stop_rule=RmseVsReference(1e-2))
+            SolverConfig(mu=0.5, stop="rmse", tol=1e-2)
 
-    def test_stop_rule_tolerance_default(self):
-        assert IterateChange().tol == 1e-10
+    @pytest.mark.parametrize("bad", [{"stop": "bogus"}, {"tol": float("nan")},
+                                     {"tol": -1.0}], ids=["stop", "nan-tol", "negative-tol"])
+    def test_rejects_bad_stop_or_tol(self, bad):
+        with pytest.raises(InvalidInstance):
+            SolverConfig(mu=0.5, **bad)
+
+    def test_tol_default(self):
+        assert SolverConfig(mu=0.5).tol == 1e-10
+
+    def test_rejects_reference_of_wrong_length(self):
+        # a length-1 reference would broadcast against x without a word
+        p, _ = small_problem(seed=3)
+        config = SolverConfig(mu=0.5 / l_max(p.A), reference=np.array([1.0]))
+        for run in (gaita_run, jaita_run):
+            with pytest.raises(DimensionMismatch, match="reference has length 1"):
+                run(p, np.zeros(p.n), config)
