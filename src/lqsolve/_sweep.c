@@ -4,8 +4,11 @@
  *
  * The column dot product goes through the BLAS ddot numpy itself calls for
  * np.dot, passed in as a function pointer, and the prox root-finder repeats
- * prox.solve_inverse operation for operation.  Build without fast-math and
- * with -ffp-contract=off: a fused multiply-add changes the rounding.
+ * prox.solve_inverse operation for operation: in closed form at q = 1/2 and
+ * q = 2/3, by Newton to prox.TOL at any other q.  sqrt rounds correctly
+ * everywhere, and Python's math module calls the same libm cbrt, acos, cos
+ * and pow.  Build without fast-math and with -ffp-contract=off: a fused
+ * multiply-add changes the rounding.
  */
 #include <float.h>
 #include <math.h>
@@ -15,11 +18,48 @@
 typedef double (*ddot_fn)(int64_t n, const double *x, int64_t incx,
                           const double *y, int64_t incy);
 
+#define PI 3.141592653589793   /* Python's math.pi, the same double */
+
+/* The root of v + c*q*v^(q-1) = z_abs (z_abs >= tau) in closed form, with
+ * lambda = 2c, at q = 1/2 (Xu, Chang, Xu, Zhang, IEEE TNNLS 2012) and
+ * q = 2/3 (Cao, Sun, Xu, JVCIR 2013).  Not finite at any other q, or where
+ * an intermediate overflows. */
+static double closed_form(double z_abs, double c, double q)
+{
+    if (q == 0.5) {
+        double w = c * (0.75 * sqrt(3.0)) / (z_abs * sqrt(z_abs));
+        double phi = acos(w > 1.0 ? 1.0 : w);
+        double angle = 2.0 * PI / 3.0 - 2.0 / 3.0 * phi;
+        return 2.0 / 3.0 * z_abs * (1.0 + cos(angle));
+    }
+    if (q == 2.0 / 3.0) {
+        double s = sqrt(2.0 * c), f = sqrt(s);   /* lambda^(1/2), lambda^(1/4) */
+        double u = z_abs / (s * f);
+        u = 27.0 / 16.0 * u * u;
+        if (u < 1.0)
+            u = 1.0;
+        double t = cbrt(u + sqrt(u - 1.0) * sqrt(u + 1.0));
+        double a = 2.0 / sqrt(3.0) * f * sqrt((t + 1.0 / t) / 2.0);
+        double d = 2.0 * z_abs / a - a * a;
+        if (!(d >= 0.0))
+            return NAN;
+        double h = (a + sqrt(d)) / 2.0;
+        return h * h * h;
+    }
+    return NAN;
+}
+
 /* Root of v + c*q*v^(q-1) = z_abs on [eta, z_abs]; 0 when it stalls. */
 static int solve_inverse(double z_abs, double c, double q, double eta,
                          double tol, double *root)
 {
-    double lo = eta, hi = z_abs, v = z_abs;
+    double v = closed_form(z_abs, c, q);
+    if (isfinite(v)) {   /* rounding may leave it an ulp outside [eta, z_abs] */
+        *root = v < eta ? eta : v > z_abs ? z_abs : v;
+        return 1;
+    }
+    double lo = eta, hi = z_abs;
+    v = z_abs;
     for (int it = 0; it < 200; it++) {
         double g = (v + c * q * pow(v, q - 1.0)) - z_abs;
         if (fabs(g) <= tol) {

@@ -6,7 +6,8 @@ Outputs are plain-text CSV (one-line "rows,cols" header for arrays,
 resolved configuration, so any result can be regenerated from its own
 output.  The parser holds every option's default, type and choices;
 solve's --max-sweeps, --stop, --tol and --record-every read theirs from
-solvers.SolverConfig, which also rejects a negative or NaN --tol.
+solvers.SolverConfig, which also checks their values and --mu's as soon
+as they are parsed (a negative or NaN --tol, say).
 `--config FILE` (gen, solve, compare, sweep, certify) reads a JSON object
 whose keys are that subcommand's option dests (`k_star` for compare's and
 sweep's `--k`); each value becomes its flag, placed before the command
@@ -426,10 +427,22 @@ def build_parser():
     return parser
 
 
+def _checked(args):
+    """args, once SolverConfig accepts solve's run settings, so that a bad
+    value fails before any work and is blamed on the file it came from.
+    mu and the RMSE reference come from the instance later; stand-ins take
+    their place here."""
+    if args.command == "solve":
+        solvers.SolverConfig(mu=1.0 if args.mu is None else args.mu,
+                             max_sweeps=args.max_sweeps, stop="cap",
+                             tol=args.tol, record_every=args.record_every)
+    return args
+
+
 def _parse(parser, argv):
     """Parse argv; with --config, parse again with the file's flags placed
     after the subcommand and before argv's own flags, so those win."""
-    args = parser.parse_args(argv)
+    args = _checked(parser.parse_args(argv))
     if getattr(args, "config", None) is None:
         return args
     with open(args.config) as fh:
@@ -451,7 +464,7 @@ def _parse(parser, argv):
         flag = action.option_strings[0]
         flags.append(flag if switch and value is action.const else f"{flag}={value}")
     try:
-        return parser.parse_args(argv[:1] + flags + argv[1:])
+        return _checked(parser.parse_args(argv[:1] + flags + argv[1:]))
     except LqsolveError as exc:
         raise LqsolveError(f"{args.config}: {exc}") from None
 

@@ -15,7 +15,9 @@ At |z| == tau both branches minimize; the tie goes to the nonzero branch
 exactly when the previous value of that coordinate was nonzero.  Outputs
 are therefore always either 0 or at least eta in magnitude.
 
-The root is found to the fixed tolerance TOL, on every backend.
+At q = 1/2 and q = 2/3 the root has a closed form, which solve_inverse
+uses; at any other q a safeguarded Newton iteration finds it to the fixed
+tolerance TOL.  The C kernel repeats both, giving the same bits.
 """
 
 import math
@@ -53,18 +55,53 @@ def _g(v, c, q):
     return v + c * q * v ** (q - 1.0)
 
 
+def _closed_form(z_abs, c, q):
+    """The root of g(v) = z_abs (z_abs >= tau) in closed form, with
+    lambda = 2c, at q = 1/2 (Xu, Chang, Xu, Zhang, IEEE TNNLS 2012) and
+    q = 2/3 (Cao, Sun, Xu, JVCIR 2013); not finite at any other q, or where
+    an intermediate overflows.  _sweep.c's closed_form, operation for
+    operation."""
+    if q == 0.5:
+        w = c * (0.75 * math.sqrt(3.0)) / (z_abs * math.sqrt(z_abs))
+        phi = math.acos(1.0 if w > 1.0 else w)
+        angle = 2.0 * math.pi / 3.0 - 2.0 / 3.0 * phi
+        return 2.0 / 3.0 * z_abs * (1.0 + math.cos(angle))
+    if q == 2.0 / 3.0:
+        s = math.sqrt(2.0 * c)  # lambda^(1/2)
+        f = math.sqrt(s)        # lambda^(1/4)
+        u = z_abs / (s * f)
+        u = 27.0 / 16.0 * u * u
+        if u < 1.0:
+            u = 1.0
+        t = math.cbrt(u + math.sqrt(u - 1.0) * math.sqrt(u + 1.0))
+        a = 2.0 / math.sqrt(3.0) * f * math.sqrt((t + 1.0 / t) / 2.0)
+        d = 2.0 * z_abs / a - a * a
+        if not d >= 0.0:
+            return math.nan
+        h = (a + math.sqrt(d)) / 2.0
+        return h * h * h
+    return math.nan
+
+
 def solve_inverse(z_abs, params):
     """Root of g(v) = v + c*q*v^(q-1) = z_abs on [eta, z_abs].
 
-    g is strictly increasing and convex there (g'(eta) = 1 - q/2 > 0), so a
-    Newton iteration started at the right end descends monotonically onto
-    the root; a bisection safeguard keeps it inside the bracket regardless.
-    Requires z_abs >= tau, i.e. g(eta) <= z_abs.
+    At q = 1/2 and q = 2/3 the root is the closed form, kept inside
+    [eta, z_abs] against rounding.  Elsewhere, and where the closed form
+    overflows, Newton runs: g is strictly increasing and convex on the
+    bracket (g'(eta) = 1 - q/2 > 0), so a Newton iteration started at the
+    right end descends monotonically onto the root, to TOL; a bisection
+    safeguard keeps it inside the bracket regardless.  An infinite z_abs
+    has no root, and the iteration stalls.  Requires z_abs >= tau, i.e.
+    g(eta) <= z_abs.
     """
     c, q, eta = params.c, params.q, params.eta
     if z_abs < params.tau:
         raise InvalidInstance(
             f"solve_inverse needs z_abs >= tau ({params.tau:g}), got {z_abs:g}")
+    v = _closed_form(z_abs, c, q)
+    if math.isfinite(v):
+        return min(max(v, eta), z_abs)
     lo, hi = eta, z_abs
     v = z_abs
     for _ in range(200):

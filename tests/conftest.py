@@ -2,7 +2,8 @@
 
 The oracles here deliberately avoid the library code paths they check:
 grid search for the scalar thresholding operator, the closed-form
-half-thresholding formula for q = 1/2, cyclic Jacobi rotations for
+half-thresholding formula for q = 1/2, bisection on the quartic whose root
+gives the q = 2/3 operator, cyclic Jacobi rotations for
 eigenvalues, plain bisection for the monotone scalar equation, and a run
 loop that computes every sweep.
 """
@@ -43,6 +44,23 @@ def half_threshold_oracle(z, c):
     h(z) = (2/3) z (1 + cos(2pi/3 - (2/3) arccos((lambda/8) (|z|/3)^(-3/2))))."""
     phi = math.acos(2.0 * c / 8.0 * (abs(z) / 3.0) ** -1.5)
     return 2.0 / 3.0 * z * (1.0 + math.cos(2.0 * math.pi / 3.0 - 2.0 / 3.0 * phi))
+
+
+def two_thirds_threshold_oracle(z, c):
+    """The q = 2/3 prox above the jump threshold.  With v = s^3 the equation
+    v + (2c/3) v^(-1/3) = |z| becomes s^4 - |z| s + 2c/3 = 0, and v is the
+    cube of its largest real root.  The quartic falls to its minimum at
+    s = (|z|/4)^(1/3), where it is negative above the jump threshold, then
+    rises to 2c/3 at s = |z|^(1/3); bisection between the two finds the
+    root to the last bit."""
+    z_abs, k = abs(z), 2.0 * c / 3.0
+    lo, hi = (z_abs / 4.0) ** (1.0 / 3.0), z_abs ** (1.0 / 3.0)
+    quartic = lambda s: s * s * s * s - z_abs * s + k
+    assert quartic(lo) < 0.0 < quartic(hi)
+    while lo < 0.5 * (lo + hi) < hi:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (lo, mid) if quartic(mid) > 0.0 else (mid, hi)
+    return math.copysign(lo * lo * lo, z)
 
 
 def bisect_root(f, lo, hi, tol=1e-12, max_iter=200):

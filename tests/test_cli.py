@@ -255,11 +255,16 @@ class TestExitCodes:
         (("solve",), {"max_sweeps": 50.5}),
         (("solve",), [1, 2]),
         (("compare", "--preset", "fig1"), {"k": 2}),  # compare's key is k_star
+        # values argparse takes and SolverConfig rejects
+        (("solve",), {"tol": -1}),
+        (("solve",), {"mu": -1}),
+        (("solve",), {"record_every": 0}),
     ], ids=["stop", "algorithm", "misspelt-key", "float-sweeps", "not-object",
-            "compare-k"])
+            "compare-k", "negative-tol", "negative-mu", "zero-record-every"])
     def test_bad_stop_rule_in_config(self, command, cfg, tmp_path, instance_dir,
                                      capsys):
-        # each bad config file exits 2 with one line on stderr and writes nothing
+        # each bad config file exits 2 with one line on stderr, naming the
+        # file, and writes nothing
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(cfg))
         target = ("--instance-dir", str(instance_dir)) if command == ("solve",) \
@@ -269,7 +274,8 @@ class TestExitCodes:
                        "--out-dir", str(out), "--quiet")
         assert code == 2
         err = capsys.readouterr().err
-        assert err.count("\n") == 1 and "cfg.json" in err
+        assert err.count("\n") == 1 and err.startswith("error: ")
+        assert f"{cfg_path}: " in err
         assert not out.exists()
 
     @pytest.mark.parametrize("how", ["flag-nan", "config-negative"])

@@ -12,7 +12,7 @@ from lqsolve.harness import InstanceSpec, generate_instance
 from lqsolve.prox import ProxParams, prox_scalar, prox_vector, solve_inverse
 
 from conftest import (bisect_root, grid_prox_oracle, half_threshold_oracle,
-                      prox_objective)
+                      prox_objective, two_thirds_threshold_oracle)
 
 qs = st.floats(0.05, 0.95)
 cs = st.floats(0.01, 10.0)
@@ -134,6 +134,7 @@ class TestProxScalar:
     @pytest.mark.parametrize("z,c,q", [
         (2.0, 1.0, 0.5), (0.3, 0.05, 0.3), (-4.0, 2.0, 0.7),
         (1.51, 1.0, 0.5), (1.49, 1.0, 0.5), (-0.8, 0.1, 0.9),
+        (1.3, 0.4, 2.0 / 3.0),
     ])
     def test_matches_grid_oracle(self, z, c, q):
         params = ProxParams(c=c, q=q)
@@ -231,3 +232,47 @@ def test_matches_half_threshold_closed_form(rng, backend):
         expected = half_threshold_oracle(z, params.c)
         assert prox_scalar(z, 0.0, params) == pytest.approx(expected, rel=1e-10)
         assert prox_vector([z], [0.0], params)[0] == pytest.approx(expected, rel=1e-10)
+
+
+def test_matches_two_thirds_oracle(rng, backend):
+    # q = 2/3 only, against bisection on the quartic in s = v^(1/3)
+    for _ in range(2000):
+        params = ProxParams(c=10.0 ** rng.uniform(-4.0, 1.0), q=2.0 / 3.0)
+        z = rng.choice([-1.0, 1.0]) * params.tau * (1.0 + rng.uniform(1e-6, 20.0))
+        expected = two_thirds_threshold_oracle(z, params.c)
+        assert prox_scalar(z, 0.0, params) == pytest.approx(expected, rel=1e-10)
+        assert prox_vector([z], [0.0], params)[0] == pytest.approx(expected, rel=1e-10)
+
+
+@pytest.mark.parametrize("q", [0.5, 2.0 / 3.0])
+def test_closed_form_at_the_jump(q, backend):
+    # from |z| = tau to tau * (1 + 1e-12), where rounding could push the
+    # closed form out of its domain or below eta, the root stays in [eta, |z|]
+    for c in (1e-6, 1e-3, 0.5, 7.0):
+        params = ProxParams(c=c, q=q)
+        tau = params.tau
+        z = np.array([tau, np.nextafter(tau, np.inf), tau * (1.0 + 1e-15),
+                      tau * (1.0 + 1e-13), tau * (1.0 + 1e-12)])
+        for z_abs in z:
+            assert params.eta <= solve_inverse(z_abs, params) <= z_abs
+        z = np.concatenate([z, -z])
+        out = prox_vector(z, np.ones(z.size), params)  # the tie at tau gives eta
+        assert np.all(params.eta <= np.abs(out)) and np.all(np.abs(out) <= np.abs(z))
+        assert np.array_equal(np.sign(out), np.sign(z))
+
+
+@pytest.mark.parametrize("q", [0.5, 2.0 / 3.0, 0.9])
+def test_kernel_prox_is_python_prox_bit_for_bit(q, rng):
+    # closed forms at q = 1/2 and 2/3, Newton at 0.9, over many decades of c
+    # and |z| / tau, both signs and every tie-break value of x_prev
+    if _csweep.lq_prox is None:
+        pytest.skip(f"no C kernel: {_csweep.fallback_reason}")
+    for _ in range(50):
+        params = ProxParams(c=10.0 ** rng.uniform(-8.0, 2.0), q=q)
+        z = (rng.choice([-1.0, 1.0], 200) * params.tau
+             * (1.0 + 10.0 ** rng.uniform(-16.0, 4.0, 200)))
+        z[:3] = params.tau, -params.tau, 0.5 * params.tau
+        x_prev = rng.choice([0.0, 1.0, -2.0], 200)
+        out = prox_vector(z, x_prev, params)
+        expected = [prox_scalar(zi, xi, params) for zi, xi in zip(z, x_prev)]
+        assert out.tobytes() == np.array(expected).tobytes(), params

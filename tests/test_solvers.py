@@ -209,21 +209,25 @@ def _kernel(name):
 @pytest.mark.parametrize("name", ["python", "c"])
 def test_stalled_prox_raises(name, monkeypatch):
     # an overflowing forward step leaves the root-finder nothing to converge
-    # on, in gaita's sweep and in jaita's vector prox alike
+    # on, in gaita's sweep and in jaita's vector prox alike, whether the
+    # root has a closed form (q = 1/2, 2/3) or is found by Newton (q = 0.9)
     sweep = _kernel(name)
     if name == "python":
         monkeypatch.setattr(_csweep, "lq_prox", None)
     A = np.full((4, 3), 0.5, order="F")
-    x, r = np.zeros(3), np.full(4, 1e308)
-    params = ProxParams(c=0.01, q=0.5)
     stalled = r"^prox root-finder stalled at z_abs=inf$"
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        with pytest.raises(ConvergenceFailure, match=stalled):
-            sweep(A, x, r, 1.0, params)
-        assert np.array_equal(x, np.zeros(3))
-        with pytest.raises(ConvergenceFailure, match=stalled):
-            prox_vector(np.array([0.5, -np.inf]), np.zeros(2), params)
+        for q in (0.5, 2.0 / 3.0, 0.9):
+            params = ProxParams(c=0.01, q=q)
+            for big in (1e308, -1e308):  # z = -inf, then z = +inf
+                x, r = np.zeros(3), np.full(4, big)
+                with pytest.raises(ConvergenceFailure, match=stalled):
+                    sweep(A, x, r, 1.0, params)
+                assert np.array_equal(x, np.zeros(3))
+                with pytest.raises(ConvergenceFailure, match=stalled):
+                    prox_vector(np.array([0.5, -np.sign(big) * np.inf]),
+                                np.zeros(2), params)
     assert [str(w.message) for w in caught] == []  # silent on both backends
 
 
