@@ -117,5 +117,14 @@ def objective(p, x):
 
 
 def objective_from_residual(p, x, r):
-    """Objective using a precomputed residual r = A x - y."""
-    return 0.5 * float(r @ r) + p.lam * float(np.sum(np.abs(x) ** p.q))
+    """Objective using a precomputed residual r = A x - y.
+
+    Only the nonzero entries are raised to the power q.  They are scattered
+    back among zeros before the sum, which keeps numpy's pairwise summation
+    order and so the bits of the sum of |x_i|^q over all entries; summing
+    the nonzero powers alone would round differently.
+    """
+    nz = x != 0.0
+    powers = np.zeros(x.shape[0])
+    powers[nz] = np.abs(x[nz]) ** p.q
+    return 0.5 * float(r @ r) + p.lam * float(powers.sum())

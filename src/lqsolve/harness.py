@@ -20,7 +20,7 @@ Presets mirror the reference experiments:
 
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -138,18 +138,15 @@ class ExperimentResult:
 
     def to_json(self):
         """Deterministic serialization: the full trace and the final
-        iterate are in-memory only."""
+        iterate are in-memory only, and are not copied here."""
         payload = {
             "preset": self.preset,
             "seed": self.seed,
             "config": self.config,
-            "runs": [],
+            "runs": [{f.name: getattr(run, f.name) for f in fields(run)
+                      if f.name not in ("trace", "final_x")}
+                     for run in self.runs],
         }
-        for run in self.runs:
-            d = asdict(run)
-            d.pop("trace", None)
-            d.pop("final_x", None)
-            payload["runs"].append(d)
         return json.dumps(payload, indent=2, sort_keys=True)
 
 

@@ -11,6 +11,9 @@ Every recorded value is deterministic: the trace holds no wall times.
 The C sweep screens: it leaves a zero coordinate alone, without its
 column's dot product, while a bound on that product proves the
 coordinate would stay zero, which leaves every output unchanged.
+A gaita run checks the C sweep's arrays and takes their pointers once,
+when it starts; the loop changes x and r only in place, so the pointers
+hold for every sweep.
 Both sweeps take the threshold as one ProxParams; the prox tolerance is
 the constant prox.TOL.  default_mu gives each solver's default step size.
 """
@@ -167,9 +170,9 @@ def _coordinate_step(A, x, r, mu, params, i):
 def gaita_update(state, p, config):
     """One cyclic coordinate update; returns the successor state.
 
-    Reference implementation used by the diagnostics and the tests; the
-    run loop below executes the same arithmetic through a compiled sweep
-    kernel.
+    Reference implementation used by acceptance criterion 3 and the tests;
+    the run loop below executes the same arithmetic through a compiled
+    sweep kernel.
     """
     x, r = state.x.copy(), state.residual.copy()
     _coordinate_step(p.A, x, r, config.mu, ProxParams(c=p.lam * config.mu, q=p.q),
@@ -212,6 +215,17 @@ def _sweep_c(A, x, r, mu, params, screen=None):
     one run, with only the kernel and the refresh of r touching x and r
     in between.
     """
+    return _bind_sweep_c(A, x, r, mu, params, screen)()
+
+
+def _bind_sweep_c(A, x, r, mu, params, screen=None):
+    """Check _sweep_c's arguments and return a function of no arguments
+    that runs one such sweep in place on x and r.
+
+    The function calls the kernel with raw pointers taken here: it always
+    sweeps these very arrays, so a caller must change x and r only in
+    place, never replace them with new arrays.
+    """
     if A.dtype != np.float64 or A.ndim != 2 or not A.flags.f_contiguous:
         raise InvalidInstance("the C sweep needs a Fortran-ordered float64 matrix")
     for v in (x, r):
@@ -227,14 +241,18 @@ def _sweep_c(A, x, r, mu, params, screen=None):
                                or screen.shape != (3 * n_dim + m + 1,)):
         raise InvalidInstance("the screening state does not fit this matrix")
     out = np.empty(2)
-    failed = _csweep.lq_sweep(_csweep.ddot, m, n_dim, A.ctypes.data,
-                              x.ctypes.data, r.ctypes.data, mu, params.c,
-                              params.q, params.tau, params.eta, prox.TOL,
-                              out.ctypes.data,
-                              None if screen is None else screen.ctypes.data)
-    if failed >= 0:
-        raise stalled(out[1])
-    return float(out[0])
+    lq_sweep = _csweep.lq_sweep
+    args = (_csweep.ddot, m, n_dim, A.ctypes.data, x.ctypes.data, r.ctypes.data,
+            mu, params.c, params.q, params.tau, params.eta, prox.TOL,
+            out.ctypes.data, None if screen is None else screen.ctypes.data)
+
+    def sweep():
+        if lq_sweep(*args) >= 0:
+            raise stalled(out[1])
+        return float(out[0])
+
+    sweep.arrays = (A, x, r, screen)  # keeps the memory behind the pointers alive
+    return sweep
 
 
 _sweep = _sweep_python if _csweep.lq_sweep is None else _sweep_c
@@ -251,17 +269,25 @@ def sweep_backend():
 # ---------------------------------------------------------------------------
 # run loops
 
+def _norm(v):
+    """np.linalg.norm(v) of a 1-d float64 vector, bit for bit, without
+    its dispatch."""
+    return math.sqrt(float(v @ v))
+
+
 def _rmse_vs(x, ref, ref_norm):
-    return float(np.linalg.norm(x - ref) / ref_norm)
+    return float(_norm(x - ref) / ref_norm)
 
 
-def _run(p, x0, config, algorithm, step, mu_bound, updates_per_sweep):
+def _run(p, x0, config, algorithm, bind, mu_bound, updates_per_sweep):
     """The loop both solvers share; returns (final state, trace).
 
-    ``step(x, r)`` does one sweep in place on x and returns the step
+    ``bind(x, r)`` is called once, before the first sweep, and returns
+    ``step()``, which does one sweep in place on x and returns the step
     metric that stop "iterate_change" compares with config.tol.  The loop
     refreshes r = A x - y after every sweep, records, and applies the stop
-    rule.
+    rule.  It changes x and r only in place and never rebinds them, so a
+    step may hold their memory for the whole run, as gaita's C sweep does.
     ``mu_bound(A)`` is the curvature bound whose inverse the step size
     should stay below.
     """
@@ -288,10 +314,11 @@ def _run(p, x0, config, algorithm, step, mu_bound, updates_per_sweep):
                  config.record_iterates)
 
     x, r = state.x, state.residual
+    step = bind(x, r)
     x_prev_rec = x.copy()
     sweep = 0
     for sweep in range(1, config.max_sweeps + 1):
-        step_metric = step(x, r)
+        step_metric = step()
         r[:] = p.A @ x - p.y  # per-sweep refresh bounds rank-1 drift
         state.objective = objective_from_residual(p, x, r)
         rmse = _rmse_vs(x, ref, ref_norm) if ref is not None else math.nan
@@ -303,7 +330,7 @@ def _run(p, x0, config, algorithm, step, mu_bound, updates_per_sweep):
         if (stop or diverged or sweep % config.record_every == 0
                 or sweep == config.max_sweeps):
             trace.record(sweep, sweep * updates_per_sweep, state.objective,
-                         float(np.linalg.norm(x - x_prev_rec)), x, rmse,
+                         _norm(x - x_prev_rec), x, rmse,
                          config.record_iterates)
             x_prev_rec = x.copy()
         if diverged:
@@ -330,11 +357,15 @@ def gaita_run(p, x0, config):
     """
     params = ProxParams(c=p.lam * config.mu, q=p.q)
     screen = new_screen(p.A)
+    kernel = _sweep  # the backend, read when the run starts
 
-    def sweep(x, r):
-        return _sweep(p.A, x, r, config.mu, params, screen)
+    def bind(x, r):
+        if kernel is _sweep_c:
+            # pointers taken once: _run changes x and r only in place
+            return _bind_sweep_c(p.A, x, r, config.mu, params, screen)
+        return lambda: kernel(p.A, x, r, config.mu, params, screen)
 
-    return _run(p, x0, config, "gaita", sweep, core.l_max, p.n)
+    return _run(p, x0, config, "gaita", bind, core.l_max, p.n)
 
 
 def jaita_run(p, x0, config):
@@ -342,13 +373,15 @@ def jaita_run(p, x0, config):
     marking mu >= 1/||A||_2^2."""
     params = ProxParams(c=p.lam * config.mu, q=p.q)
 
-    def step(x, r):
-        x_new = prox_vector(x - config.mu * (p.A.T @ r), x, params)
-        step_norm = float(np.linalg.norm(x_new - x))
-        x[:] = x_new
-        return step_norm
+    def bind(x, r):
+        def step():
+            x_new = prox_vector(x - config.mu * (p.A.T @ r), x, params)
+            step_norm = _norm(x_new - x)
+            x[:] = x_new
+            return step_norm
+        return step
 
-    return _run(p, x0, config, "jaita", step, core.spectral_norm_sq, 1)
+    return _run(p, x0, config, "jaita", bind, core.spectral_norm_sq, 1)
 
 
 def default_mu(algorithm, A):

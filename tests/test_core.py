@@ -4,7 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lqsolve.core import (ProblemInstance, column_norms_sq, l_max,
-                          min_eig_symmetric, objective, spectral_norm_sq)
+                          min_eig_symmetric, objective, objective_from_residual,
+                          spectral_norm_sq)
 from lqsolve.errors import AsymmetricMatrix, DimensionMismatch, InvalidInstance
 from lqsolve.harness import InstanceSpec, generate_instance
 
@@ -139,3 +140,26 @@ class TestObjective:
     def test_nonnegative(self, xs):
         p = ProblemInstance(A=np.eye(2), y=np.array([1.0, -2.0]), lam=0.3, q=0.7)
         assert objective(p, np.array(xs)) >= 0.0
+
+    @pytest.mark.parametrize("q", [0.1, 0.5, 2.0 / 3.0, 0.9])
+    def test_sparse_power_sum_is_the_dense_one_bit_for_bit(self, q, rng):
+        # the solvers' loop and the oracle plain_run in conftest both call
+        # objective_from_residual, so its bits are pinned here against the
+        # formula that raises every entry to the power q
+        for n in (1, 7, 9, 130, 500, 1031):
+            p = ProblemInstance(A=np.ones((2, n)), y=np.zeros(2), lam=0.37, q=q)
+            for kind in ("sparse", "dense", "zero"):
+                for _ in range(20):
+                    x = rng.standard_normal(n) * 10.0 ** rng.integers(-3, 4, n)
+                    if kind == "sparse":
+                        x[rng.random(n) > 0.05] = 0.0
+                    elif kind == "zero":
+                        x[:] = 0.0
+                    spots = rng.integers(0, n, 3)
+                    x[spots[0]] = -0.0
+                    if kind != "zero":
+                        x[spots[1]] = rng.choice([5e-324, -1e-310, 2.2e-308])
+                    r = rng.standard_normal(2)
+                    dense = 0.5 * float(r @ r) + p.lam * float(np.sum(np.abs(x) ** q))
+                    got = objective_from_residual(p, x, r)
+                    assert repr(got) == repr(dense), (n, kind)

@@ -1,3 +1,6 @@
+import dataclasses
+import json
+
 import numpy as np
 import pytest
 
@@ -142,6 +145,25 @@ class TestExperiments:
         a = run_experiment("fig1", overrides, seed=1).to_json()
         b = run_experiment("fig1", overrides, seed=1).to_json()
         assert a == b
+
+    @pytest.mark.parametrize("preset, caps", [
+        ("fig1", {"max_sweeps": 60}),
+        ("fig3", {"max_sweeps": 60, "max_sweeps_jaita": 90}),
+        ("fig4", {"max_sweeps": 60}),
+        ("mu_sweep", {"max_sweeps": 60, "mu_list": (0.3, 0.95), "q_list": (0.5,)})])
+    def test_json_is_the_asdict_form(self, preset, caps):
+        # to_json reads each run's fields instead of deep-copying the run
+        # with dataclasses.asdict; the bytes must be those of the copy
+        result = run_experiment(preset, dict(DESK, **caps), seed=0)
+        runs = []
+        for run in result.runs:
+            d = dataclasses.asdict(run)
+            d.pop("trace")
+            d.pop("final_x")
+            runs.append(d)
+        payload = {"preset": result.preset, "seed": result.seed,
+                   "config": result.config, "runs": runs}
+        assert result.to_json() == json.dumps(payload, indent=2, sort_keys=True)
 
     def test_support_recovery_on_noiseless_instances(self):
         # q=1/2, small lam: the solver should nail the true support on

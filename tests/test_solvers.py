@@ -231,6 +231,21 @@ def test_stalled_prox_raises(name, monkeypatch):
     assert [str(w.message) for w in caught] == []  # silent on both backends
 
 
+@pytest.mark.parametrize("name", ["python", "c"])
+def test_stalled_prox_raises_from_a_run(name, monkeypatch):
+    # the same failure through gaita_run, which binds the C sweep once per
+    # run: r = 1e308 makes every forward step overflow to -inf (and the
+    # initial objective to inf, which numpy warns of)
+    monkeypatch.setattr(solvers, "_sweep", _kernel(name))
+    stalled = r"^prox root-finder stalled at z_abs=inf$"
+    for q in (0.5, 2.0 / 3.0, 0.9):
+        p = ProblemInstance(A=np.full((4, 3), 0.5), y=np.full(4, -1e308),
+                            lam=0.01, q=q)
+        with np.errstate(over="ignore"), pytest.raises(ConvergenceFailure,
+                                                       match=stalled):
+            gaita_run(p, np.zeros(3), SolverConfig(mu=1.0))
+
+
 @pytest.mark.parametrize("bad, error", [
     ("c_ordered_A", InvalidInstance), ("float32_x", InvalidInstance),
     ("read_only_x", InvalidInstance), ("short_r", DimensionMismatch),
