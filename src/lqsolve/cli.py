@@ -66,8 +66,11 @@ def read_array(path, sha256=None):
     if sha256 is not None and hashlib.sha256(data).hexdigest() != sha256:
         raise CorruptFile(f"{path}: its sha256 is not the one recorded in manifest.json")
     fh = io.BytesIO(data)
-    rows, cols = (int(t) for t in fh.readline().split(b","))
-    a = np.loadtxt(fh, delimiter=",", ndmin=2)
+    try:
+        rows, cols = (int(t) for t in fh.readline().split(b","))
+        a = np.loadtxt(fh, delimiter=",", ndmin=2)
+    except ValueError as exc:  # a malformed header or cell, or an empty file
+        raise LqsolveError(f"{path}: {exc}") from None
     if a.shape != (rows, cols):
         raise LqsolveError(f"{path}: header says {rows}x{cols}, data is {a.shape}")
     return a

@@ -96,7 +96,7 @@ class SolverState:
 
 
 class IterationTrace:
-    """Per-sweep records plus run flags and sign history.
+    """Per-sweep records, run flags and, with record_iterates, each iterate.
 
     Columns: sweep, n (update counter), objective, step_norm (euclidean
     norm of the change since the previous record), support_size, rmse
@@ -107,22 +107,28 @@ class IterationTrace:
 
     def __init__(self):
         self.rows = []          # list of 6-tuples, see COLUMNS
-        self.signs = []         # int8 arrays, aligned with rows
         self.iterates = []      # optional float arrays, aligned with rows
         self.flags = {}
 
     def record(self, sweep, n, obj, step_norm, x, rmse, keep_iterate):
         self.rows.append((sweep, n, obj, step_norm,
                           int(np.count_nonzero(x)), rmse))
-        self.signs.append(np.sign(x).astype(np.int8))
         if keep_iterate:
             self.iterates.append(x.copy())
+
+    @property
+    def signs(self):
+        """Int8 signs of the kept iterates, derived per read (perfbench counts them)."""
+        return [np.sign(x).astype(np.int8) for x in self.iterates]
 
     def column(self, name):
         idx = self.COLUMNS.index(name)
         return np.array([row[idx] for row in self.rows])
 
     def sign_history(self):
+        """The signs of the kept iterates, one int8 row per record."""
+        if not self.iterates:
+            raise InvalidInstance("no iterates kept; run with record_iterates=True")
         return np.vstack(self.signs)
 
     def __len__(self):
@@ -135,19 +141,6 @@ class IterationTrace:
             for sweep, n, obj, step, supp, rmse in self.rows:
                 writer.writerow([sweep, n, format_float(obj),
                                  format_float(step), supp, format_float(rmse)])
-
-    @classmethod
-    def from_csv(cls, path):
-        trace = cls()
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader)
-            if tuple(header) != cls.COLUMNS:
-                raise InvalidInstance(f"unexpected trace header: {header}")
-            for row in reader:
-                trace.rows.append((int(row[0]), int(row[1]), float(row[2]),
-                                   float(row[3]), int(row[4]), float(row[5])))
-        return trace
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ eigenvalues, plain bisection for the monotone scalar equation, and a run
 loop that computes every sweep.
 """
 
+import csv
 import math
 
 import numpy as np
@@ -155,6 +156,13 @@ def plain_run(p, x0, config, algorithm):
         trace.flags["did_not_converge"] = config.stop != "cap"
     trace.flags["sweeps"] = sweep
     return x, r, obj, trace
+
+
+def read_trace_csv(path):
+    """The header and rows of a trace.csv, every cell read as a float."""
+    with open(path, newline="") as fh:
+        header, *rows = csv.reader(fh)
+    return tuple(header), [[float(v) for v in row] for row in rows]
 
 
 def small_problem(seed=0, m=20, n=40, k=4, lam=0.01, q=0.5, snr_db=None):

@@ -219,7 +219,8 @@ def test_criterion_08_support_sign_freeze():
         inst = generate_instance(spec)
         p = inst.problem(0.001, 0.5)
         mu = 0.95 / l_max(p.A)
-        state, trace = gaita_run(p, np.zeros(p.n), SolverConfig(mu=mu))
+        state, trace = gaita_run(p, np.zeros(p.n),
+                                 SolverConfig(mu=mu, record_iterates=True))
         if not trace.flags["converged"]:
             continue
         runs += 1

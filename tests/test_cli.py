@@ -9,7 +9,9 @@ import numpy as np
 import pytest
 
 from lqsolve import _csweep, cli, solvers
-from lqsolve.solvers import IterationTrace
+from lqsolve.errors import LqsolveError
+
+from conftest import read_trace_csv
 
 
 def run_cli(*argv):
@@ -57,10 +59,13 @@ class TestArrayIO:
         assert np.array_equal(cli.read_vector(path), v)
 
     def test_header_mismatch_detected(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("2,2\n1.0,2.0\n")
-        with pytest.raises(Exception):
-            cli.read_array(path)
+        # a short body, a one-field header, a non-number, an empty file
+        for k, text in enumerate(("2,2\n1.0,2.0\n", "5\n1.0\n", "1,2\n1.0,abc\n", "")):
+            path = tmp_path / f"bad{k}.csv"
+            path.write_text(text)
+            with pytest.raises(LqsolveError) as err:
+                cli.read_array(path)
+            assert str(err.value).startswith(f"{path}: ")
 
 
 class TestGen:
@@ -133,8 +138,8 @@ class TestSolve:
         assert summary["flags"]["converged"]
         assert summary["config"]["lam"] == 0.001
         assert summary["stationarity"]["is_stationary"]
-        trace = IterationTrace.from_csv(out / "trace.csv")
-        assert len(trace) >= 2
+        _, rows = read_trace_csv(out / "trace.csv")
+        assert len(rows) >= 2
         x = cli.read_vector(out / "solution.csv")
         assert len(x) == 40
 
@@ -143,8 +148,8 @@ class TestSolve:
         code = run_cli("solve", "--instance-dir", str(instance_dir),
                        "--max-sweeps", "0", "--out-dir", str(out), "--quiet")
         assert code == 0
-        trace = IterationTrace.from_csv(out / "trace.csv")
-        assert len(trace) == 1 and trace.rows[0][0] == 0
+        _, rows = read_trace_csv(out / "trace.csv")
+        assert len(rows) == 1 and rows[0][0] == 0
         assert np.array_equal(cli.read_vector(out / "solution.csv"),
                               np.zeros(40))
 
@@ -162,7 +167,8 @@ class TestSolve:
         out = tmp_path / "run"
         assert run_cli("solve", "--instance-dir", str(zero_instance_dir),
                        "--out-dir", str(out), "--quiet") == 0
-        assert np.all(np.isnan(IterationTrace.from_csv(out / "trace.csv").column("rmse")))
+        header, rows = read_trace_csv(out / "trace.csv")
+        assert all(np.isnan(row[header.index("rmse")]) for row in rows)
         assert json.loads((out / "summary.json").read_text())["final_rmse"] is None
 
     def test_rmse_stop_needs_nonzero_ground_truth(self, tmp_path, zero_instance_dir,

@@ -118,7 +118,8 @@ class TestSupportFreeze:
         # onto earlier transient plateaus, so scan from the end
         p, _ = small_problem(seed=24, lam=0.001)
         state, trace = gaita_run(p, np.zeros(p.n),
-                                 SolverConfig(mu=0.95 / l_max(p.A)))
+                                 SolverConfig(mu=0.95 / l_max(p.A),
+                                              record_iterates=True))
         signs = trace.sign_history()
         final = signs[-1]
         changed = [i for i, row in enumerate(signs)

@@ -15,7 +15,7 @@ from lqsolve.prox import ProxParams, prox_vector
 from lqsolve.solvers import (IterationTrace, SolverConfig, SolverState,
                              _sweep_python, gaita_run, gaita_update, jaita_run)
 
-from conftest import bisect_root, plain_run, small_problem
+from conftest import bisect_root, plain_run, read_trace_csv, small_problem
 
 
 class TestGaitaUpdate:
@@ -407,7 +407,6 @@ def counting_ddot(monkeypatch):
 def _assert_same_run(got, want):
     (state, trace), (x, r, obj, ref) = got, want
     assert repr(trace.rows) == repr(ref.rows)
-    assert [s.tobytes() for s in trace.signs] == [s.tobytes() for s in ref.signs]
     assert [a.tobytes() for a in trace.iterates] == [a.tobytes() for a in ref.iterates]
     assert trace.flags == ref.flags
     assert state.x.tobytes() == x.tobytes()
@@ -538,17 +537,37 @@ class TestTraceIO:
         _, trace = gaita_run(p, np.zeros(p.n), config)
         path = tmp_path / "trace.csv"
         trace.to_csv(path)
-        back = IterationTrace.from_csv(path)
+        header, back = read_trace_csv(path)
+        assert header == IterationTrace.COLUMNS
         assert len(back) == len(trace)
-        for a, b in zip(trace.rows, back.rows):
+        for a, b in zip(trace.rows, back):
             for va, vb in zip(a, b):
                 assert va == vb or (np.isnan(va) and np.isnan(vb))
 
-    def test_header_is_validated(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("not,the,right,header\n")
-        with pytest.raises(InvalidInstance):
-            IterationTrace.from_csv(path)
+
+class TestSignHistory:
+    """The sign history is derived from the kept iterates."""
+
+    @pytest.mark.parametrize("every", [1, 3])
+    @pytest.mark.parametrize("run, bound", [(gaita_run, l_max),
+                                            (jaita_run, spectral_norm_sq)])
+    def test_signs_of_the_kept_iterates(self, run, bound, every):
+        p, _ = small_problem(seed=3)
+        config = SolverConfig(mu=0.95 / bound(p.A), max_sweeps=40, stop="cap",
+                              record_every=every, record_iterates=True)
+        _, trace = run(p, np.zeros(p.n), config)
+        signs = trace.sign_history()
+        want = np.sign(np.vstack(trace.iterates)).astype(np.int8)
+        assert signs.dtype == want.dtype and signs.shape == (len(trace), p.n)
+        assert signs.tobytes() == want.tobytes()
+
+    def test_needs_kept_iterates(self):
+        p, _ = small_problem(seed=3)
+        _, trace = gaita_run(p, np.zeros(p.n),
+                             SolverConfig(mu=0.95 / l_max(p.A), max_sweeps=5))
+        assert trace.signs == []  # perfbench's recorder sums their bytes
+        with pytest.raises(InvalidInstance, match="record_iterates"):
+            trace.sign_history()
 
 
 class TestConfigValidation:
