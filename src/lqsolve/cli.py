@@ -25,6 +25,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import sys
 from pathlib import Path
 
@@ -59,17 +60,25 @@ def write_array(path, a):
     _write_rows(path, f"{a.shape[0]},{a.shape[1]}", (map(repr, row.tolist()) for row in a))
 
 
+_NON_BLANK = re.compile(rb"\S")
+
+
 def read_array(path, sha256=None):
     """Read an array file once; when ``sha256`` is given, the bytes read must
     have that digest, and those same bytes are parsed."""
     data = Path(path).read_bytes()
     if sha256 is not None and hashlib.sha256(data).hexdigest() != sha256:
         raise CorruptFile(f"{path}: its sha256 is not the one recorded in manifest.json")
+    if _NON_BLANK.search(data) is None:
+        raise LqsolveError(f"{path}: the file is empty")
     fh = io.BytesIO(data)
     try:
         rows, cols = (int(t) for t in fh.readline().split(b","))
+        if _NON_BLANK.search(data, fh.tell()) is None:  # numpy would only warn
+            raise LqsolveError(f"{path}: header says {rows}x{cols}, "
+                               "but no data rows follow")
         a = np.loadtxt(fh, delimiter=",", ndmin=2)
-    except ValueError as exc:  # a malformed header or cell, or an empty file
+    except ValueError as exc:  # a malformed header or cell
         raise LqsolveError(f"{path}: {exc}") from None
     if a.shape != (rows, cols):
         raise LqsolveError(f"{path}: header says {rows}x{cols}, data is {a.shape}")

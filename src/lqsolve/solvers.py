@@ -8,14 +8,13 @@ one loop, which refreshes the residual once per sweep, applies the stop
 rule and one divergence guard, and records traces at sweep granularity.
 SolverConfig holds a run's settings; its ``stop`` is one of STOP_RULES.
 Every recorded value is deterministic: the trace holds no wall times.
-The C sweep screens: it leaves a zero coordinate alone, without its
-column's dot product, while a bound on that product proves the
-coordinate would stay zero, which leaves every output unchanged.
-A gaita run checks the C sweep's arrays and takes their pointers once,
-when it starts; the loop changes x and r only in place, so the pointers
-hold for every sweep.
-Both sweeps take the threshold as one ProxParams; the prox tolerance is
-the constant prox.TOL.  default_mu gives each solver's default step size.
+The loop binds its solver's step once per run, ``step = bind(A, x, r,
+mu, params)``: ``_sweep`` (``_sweep_c``, or ``_sweep_python`` where the C
+kernel cannot load) for gaita, ``_jacobi_step`` for jaita.  The C binding
+takes its arrays' pointers and owns its screening state, which skips a
+zero coordinate's dot product while a bound proves it stays zero, with
+every output unchanged.  The prox tolerance is the constant prox.TOL.
+default_mu gives each solver's default step size.
 """
 
 import csv
@@ -174,50 +173,38 @@ def gaita_update(state, p, config):
                        objective=objective_from_residual(p, x, r))
 
 
-def _sweep_python(A, x, r, mu, params, screen=None):
-    """One cyclic sweep in place on x and r; returns the largest change.
+def _sweep_python(A, x, r, mu, params):
+    """Bind the cyclic sweep to x and r: returns a function of no arguments
+    that runs one sweep in place on them and returns the largest change.
 
     The oracle for _sweep_c, and the backend where the C kernel cannot load.
-    It computes every coordinate, so it ignores ``screen``: skipping a
-    coordinate that screening proves stays zero gives the same bits.
-    Floating-point warnings are silenced, as in C: a non-finite forward
-    step ends in the same ConvergenceFailure on both backends.
+    It computes every coordinate: skipping one that screening proves stays
+    zero, as _sweep_c does, gives the same bits.  Floating-point warnings
+    are silenced, as in C: a non-finite forward step ends in the same
+    ConvergenceFailure on both backends.
     """
-    max_step = 0.0
-    with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(A.shape[1]):
-            d = abs(_coordinate_step(A, x, r, mu, params, i))
-            if d > max_step:
-                max_step = d
-    return max_step
+    def sweep():
+        max_step = 0.0
+        with np.errstate(over="ignore", invalid="ignore"):
+            for i in range(A.shape[1]):
+                d = abs(_coordinate_step(A, x, r, mu, params, i))
+                if d > max_step:
+                    max_step = d
+        return max_step
+
+    return sweep
 
 
-def new_screen(A):
-    """Screening state for one run of the C sweep on A (see _sweep.c)."""
-    m, n_dim = A.shape
-    state = np.zeros(3 * n_dim + m + 1)
-    state[:n_dim] = np.linalg.norm(A, axis=0) * (1.0 + 1e-10)  # rounded up
-    state[n_dim:2 * n_dim] = np.inf  # no dot product computed yet
-    return state
+def _sweep_c(A, x, r, mu, params, screen=True):
+    """Bind the C kernel in _sweep.c to x and r; same protocol and bits as
+    _sweep_python.
 
-
-def _sweep_c(A, x, r, mu, params, screen=None):
-    """The C kernel in _sweep.c; same arguments and bits as _sweep_python.
-
-    ``screen`` is None, or new_screen(A) carried from sweep to sweep of
-    one run, with only the kernel and the refresh of r touching x and r
-    in between.
-    """
-    return _bind_sweep_c(A, x, r, mu, params, screen)()
-
-
-def _bind_sweep_c(A, x, r, mu, params, screen=None):
-    """Check _sweep_c's arguments and return a function of no arguments
-    that runs one such sweep in place on x and r.
-
-    The function calls the kernel with raw pointers taken here: it always
-    sweeps these very arrays, so a caller must change x and r only in
-    place, never replace them with new arrays.
+    The arguments are checked and the raw pointers taken here, once: the
+    returned function always sweeps these very arrays, so a caller must
+    change x and r only in place, never replace them with new arrays.
+    With ``screen`` the binding owns the kernel's screening state for A,
+    which carries from sweep to sweep; ``screen=False`` computes every
+    column's dot product.
     """
     if A.dtype != np.float64 or A.ndim != 2 or not A.flags.f_contiguous:
         raise InvalidInstance("the C sweep needs a Fortran-ordered float64 matrix")
@@ -230,21 +217,23 @@ def _bind_sweep_c(A, x, r, mu, params, screen=None):
         raise DimensionMismatch(
             f"x and r have lengths {x.shape[0]} and {r.shape[0]}, "
             f"expected {n_dim} and {m}")
-    if screen is not None and (screen.dtype != np.float64 or not screen.flags.c_contiguous
-                               or screen.shape != (3 * n_dim + m + 1,)):
-        raise InvalidInstance("the screening state does not fit this matrix")
+    state = None
+    if screen:
+        state = np.zeros(3 * n_dim + m + 1)  # layout in _sweep.c
+        state[:n_dim] = np.linalg.norm(A, axis=0) * (1.0 + 1e-10)  # rounded up
+        state[n_dim:2 * n_dim] = np.inf  # no dot product computed yet
     out = np.empty(2)
     lq_sweep = _csweep.lq_sweep
     args = (_csweep.ddot, m, n_dim, A.ctypes.data, x.ctypes.data, r.ctypes.data,
             mu, params.c, params.q, params.tau, params.eta, prox.TOL,
-            out.ctypes.data, None if screen is None else screen.ctypes.data)
+            out.ctypes.data, None if state is None else state.ctypes.data)
 
     def sweep():
         if lq_sweep(*args) >= 0:
             raise stalled(out[1])
         return float(out[0])
 
-    sweep.arrays = (A, x, r, screen)  # keeps the memory behind the pointers alive
+    sweep.arrays = (A, x, r, state)  # keeps the memory behind the pointers alive
     return sweep
 
 
@@ -257,6 +246,19 @@ def sweep_backend():
         return "c"
     reason = _csweep.fallback_reason
     return f"python; {reason}" if reason else "python"
+
+
+def _jacobi_step(A, x, r, mu, params):
+    """Bind jaita's step to x and r: returns a function of no arguments
+    that takes one thresholded full-gradient step in place on x and
+    returns the 2-norm of the update."""
+    def step():
+        x_new = prox_vector(x - mu * (A.T @ r), x, params)
+        step_norm = _norm(x_new - x)
+        x[:] = x_new
+        return step_norm
+
+    return step
 
 
 # ---------------------------------------------------------------------------
@@ -275,15 +277,16 @@ def _rmse_vs(x, ref, ref_norm):
 def _run(p, x0, config, algorithm, bind, mu_bound, updates_per_sweep):
     """The loop both solvers share; returns (final state, trace).
 
-    ``bind(x, r)`` is called once, before the first sweep, and returns
-    ``step()``, which does one sweep in place on x and returns the step
-    metric that stop "iterate_change" compares with config.tol.  The loop
-    refreshes r = A x - y after every sweep, records, and applies the stop
-    rule.  It changes x and r only in place and never rebinds them, so a
-    step may hold their memory for the whole run, as gaita's C sweep does.
-    ``mu_bound(A)`` is the curvature bound whose inverse the step size
-    should stay below.
+    ``bind(A, x, r, mu, params)`` is called once, before the first sweep,
+    and returns ``step()``, which does one sweep in place on x and r and
+    returns the step metric that stop "iterate_change" compares with
+    config.tol.  The loop refreshes r = A x - y after every sweep, records,
+    and applies the stop rule and the divergence guard.  It changes x and
+    r only in place and never rebinds them, so a step may hold their
+    memory for the whole run, as the C sweep does.  ``mu_bound(A)`` is
+    the curvature bound whose inverse the step size should stay below.
     """
+    params = ProxParams(c=p.lam * config.mu, q=p.q)
     state = SolverState.initial(p, x0)
     ref = config.reference
     if ref is not None and ref.shape[0] != p.n:
@@ -305,9 +308,12 @@ def _run(p, x0, config, algorithm, bind, mu_bound, updates_per_sweep):
     rmse = _rmse_vs(state.x, ref, ref_norm) if ref is not None else math.nan
     trace.record(0, 0, state.objective, math.nan, state.x, rmse,
                  config.record_iterates)
+    if not (obj0 <= guard < math.inf):  # a NaN, infinite or near-overflow start
+        trace.flags["diverged"] = True
+        return state, trace
 
     x, r = state.x, state.residual
-    step = bind(x, r)
+    step = bind(p.A, x, r, config.mu, params)
     x_prev_rec = x.copy()
     sweep = 0
     for sweep in range(1, config.max_sweeps + 1):
@@ -346,35 +352,15 @@ def gaita_run(p, x0, config):
     trace carries flags ``converged`` / ``did_not_converge``.  A
     ``mu_warning`` flag marks mu >= 1/L_max (convergence theory void),
     and the run aborts with a ``diverged`` flag once the objective
-    exceeds 1e6 times its initial value.
+    exceeds 1e6 times its initial value (at sweep 0 if that is not finite).
     """
-    params = ProxParams(c=p.lam * config.mu, q=p.q)
-    screen = new_screen(p.A)
-    kernel = _sweep  # the backend, read when the run starts
-
-    def bind(x, r):
-        if kernel is _sweep_c:
-            # pointers taken once: _run changes x and r only in place
-            return _bind_sweep_c(p.A, x, r, config.mu, params, screen)
-        return lambda: kernel(p.A, x, r, config.mu, params, screen)
-
-    return _run(p, x0, config, "gaita", bind, core.l_max, p.n)
+    return _run(p, x0, config, "gaita", _sweep, core.l_max, p.n)
 
 
 def jaita_run(p, x0, config):
     """Run the Jacobi baseline; flags as for gaita_run, with mu_warning
     marking mu >= 1/||A||_2^2."""
-    params = ProxParams(c=p.lam * config.mu, q=p.q)
-
-    def bind(x, r):
-        def step():
-            x_new = prox_vector(x - config.mu * (p.A.T @ r), x, params)
-            step_norm = _norm(x_new - x)
-            x[:] = x_new
-            return step_norm
-        return step
-
-    return _run(p, x0, config, "jaita", bind, core.spectral_norm_sq, 1)
+    return _run(p, x0, config, "jaita", _jacobi_step, core.spectral_norm_sq, 1)
 
 
 def default_mu(algorithm, A):

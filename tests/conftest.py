@@ -106,11 +106,11 @@ def jacobi_eigenvalues(m, sweeps=100, tol=1e-14):
 
 def plain_run(p, x0, config, algorithm):
     """The solvers' run loop with nothing skipped: every sweep runs the
-    kernel (gaita: ``solvers._sweep`` with no screening state, so every
-    column's dot product is computed; jaita: one thresholded gradient
-    step), then r = A x - y, the objective and the RMSE.  Returns
-    (x, r, objective, trace) for bit-for-bit comparison with
-    gaita_run / jaita_run."""
+    kernel (gaita: the C sweep bound with ``screen=False``, so every
+    column's dot product is computed, or the Python sweep where the C
+    kernel is not in use; jaita: one thresholded gradient step), then
+    r = A x - y, the objective and the RMSE.  Returns (x, r, objective,
+    trace) for bit-for-bit comparison with gaita_run / jaita_run."""
     params = ProxParams(c=p.lam * config.mu, q=p.q)
     x = np.array(x0, dtype=np.float64)
     r = p.A @ x - p.y
@@ -127,16 +127,27 @@ def plain_run(p, x0, config, algorithm):
                    "did_not_converge": False, "sweeps": 0}
     guard = 1e6 * obj if obj > 0 else 1e6
     trace.record(0, 0, obj, math.nan, x, rmse(), config.record_iterates)
+    if not (obj <= guard < math.inf):
+        trace.flags["diverged"] = True
+        return x, r, obj, trace
+
+    def jacobi_step():
+        x_new = prox_vector(x - config.mu * (p.A.T @ r), x, params)
+        norm = float(np.linalg.norm(x_new - x))
+        x[:] = x_new
+        return norm
+
+    if algorithm == "jaita":
+        step_once = jacobi_step
+    elif solvers._sweep is solvers._sweep_c:
+        step_once = solvers._sweep_c(p.A, x, r, config.mu, params, screen=False)
+    else:
+        step_once = solvers._sweep_python(p.A, x, r, config.mu, params)
     x_rec = x.copy()
     sweep = 0
     for sweep in range(1, config.max_sweeps + 1):
-        if algorithm == "gaita":
-            step = solvers._sweep(p.A, x, r, config.mu, params)
-        else:
-            x_new = prox_vector(x - config.mu * (p.A.T @ r), x, params)
-            step = float(np.linalg.norm(x_new - x))
-            x[:] = x_new
-        r = p.A @ x - p.y
+        step = step_once()
+        r[:] = p.A @ x - p.y
         obj = objective_from_residual(p, x, r)
         e = rmse()
         diverged = not obj <= guard

@@ -3,12 +3,13 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from lqsolve import _csweep, cli, solvers
+from lqsolve import _csweep, cli, harness, solvers
 from lqsolve.errors import LqsolveError
 
 from conftest import read_trace_csv
@@ -373,6 +374,23 @@ class TestExitCodes:
         assert not payload["stationarity"]["is_stationary"]
         assert payload["certificate"] is None
 
+    @pytest.mark.parametrize("text, says", [
+        ("", ": the file is empty\n"),
+        ("40,1\n", ": header says 40x1, but no data rows follow\n")],
+        ids=["empty", "header-only"])
+    def test_certify_solution_without_data(self, text, says, tmp_path, instance_dir,
+                                           capsys):
+        # one stderr line naming the file, and no numpy warning before it
+        bad = tmp_path / "bad.csv"
+        bad.write_text(text)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run_cli("certify", "--instance-dir", str(instance_dir),
+                           "--solution", str(bad), "--lam", "0.001",
+                           "--out-dir", str(tmp_path / "cert"), "--quiet")
+        assert code == 2 and caught == []
+        assert capsys.readouterr().err == f"error: {bad}{says}"
+
 
 class TestCertify:
     def test_solver_output_certifies(self, tmp_path, instance_dir):
@@ -535,3 +553,28 @@ def test_every_flag_is_read():
              if {a.dest for a in sp._actions if a.option_strings and a.dest != "help"}
              != dests[name]}
     assert wrong == set()
+
+
+def test_what_perfbench_reads_from_outside(tmp_path, instance_dir, monkeypatch):
+    # perfbench records the sweep backend as solvers._sweep.__name__, and
+    # counts solves by replacing gaita_run / jaita_run on solvers and
+    # harness, so cli.cmd_solve and harness._solve must look them up there
+    # each time they run
+    for sweep in (solvers._sweep, solvers._sweep_python):
+        monkeypatch.setattr(solvers, "_sweep", sweep)
+        assert sweep.__name__ in ("_sweep_c", "_sweep_python")
+        assert (sweep.__name__ == "_sweep_c") == (solvers.sweep_backend() == "c")
+    calls = []
+    for module in (solvers, harness):
+        for name in ("gaita_run", "jaita_run"):
+            def counted(*args, _run=getattr(module, name),
+                        _key=f"{module.__name__}.{name}"):
+                calls.append(_key)
+                return _run(*args)
+            monkeypatch.setattr(module, name, counted)
+    assert run_cli("solve", "--instance-dir", str(instance_dir),
+                   "--out-dir", str(tmp_path / "run"), "--quiet") == 0
+    assert calls == ["lqsolve.solvers.gaita_run"]
+    assert run_cli("compare", "--preset", "fig1", *TestCompareAndSweep.DESK,
+                   "--out-dir", str(tmp_path / "fig1"), "--quiet") == 0
+    assert calls[1:] == ["lqsolve.harness.gaita_run", "lqsolve.harness.jaita_run"] * 2

@@ -124,13 +124,13 @@ class TestGaitaRun:
             p, _ = small_problem(q=q, **spec)
             mu = factor / l_max(p.A)
             params = ProxParams(c=p.lam * mu, q=p.q)
-            args = (mu, params)
-            for screen in (None, solvers.new_screen(p.A)):
+            for screen in (False, True):
                 x, xp = np.zeros(p.n), np.zeros(p.n)
                 r, rp = p.A @ x - p.y, p.A @ xp - p.y
+                sweep_c = solvers._sweep_c(p.A, x, r, mu, params, screen=screen)
+                sweep_py = _sweep_python(p.A, xp, rp, mu, params)
                 for sweep in range(sweeps):
-                    step = solvers._sweep(p.A, x, r, *args, screen)
-                    assert step == _sweep_python(p.A, xp, rp, *args), (q, sweep)
+                    assert sweep_c() == sweep_py(), (q, screen, sweep)
                     assert x.tobytes() == xp.tobytes(), (q, sweep)
                     assert r.tobytes() == rp.tobytes(), (q, sweep)
                     r[:] = p.A @ x - p.y
@@ -222,8 +222,9 @@ def test_stalled_prox_raises(name, monkeypatch):
             params = ProxParams(c=0.01, q=q)
             for big in (1e308, -1e308):  # z = -inf, then z = +inf
                 x, r = np.zeros(3), np.full(4, big)
+                step = sweep(A, x, r, 1.0, params)
                 with pytest.raises(ConvergenceFailure, match=stalled):
-                    sweep(A, x, r, 1.0, params)
+                    step()
                 assert np.array_equal(x, np.zeros(3))
                 with pytest.raises(ConvergenceFailure, match=stalled):
                     prox_vector(np.array([0.5, -np.sign(big) * np.inf]),
@@ -233,17 +234,16 @@ def test_stalled_prox_raises(name, monkeypatch):
 
 @pytest.mark.parametrize("name", ["python", "c"])
 def test_stalled_prox_raises_from_a_run(name, monkeypatch):
-    # the same failure through gaita_run, which binds the C sweep once per
-    # run: r = 1e308 makes every forward step overflow to -inf (and the
-    # initial objective to inf, which numpy warns of)
+    # the same failure through gaita_run, which binds the sweep once per
+    # run: from a finite initial objective (2e300), mu = 1e300 makes every
+    # forward step overflow to -inf
     monkeypatch.setattr(solvers, "_sweep", _kernel(name))
     stalled = r"^prox root-finder stalled at z_abs=inf$"
     for q in (0.5, 2.0 / 3.0, 0.9):
-        p = ProblemInstance(A=np.full((4, 3), 0.5), y=np.full(4, -1e308),
+        p = ProblemInstance(A=np.full((4, 3), 0.5), y=np.full(4, -1e150),
                             lam=0.01, q=q)
-        with np.errstate(over="ignore"), pytest.raises(ConvergenceFailure,
-                                                       match=stalled):
-            gaita_run(p, np.zeros(3), SolverConfig(mu=1.0))
+        with pytest.raises(ConvergenceFailure, match=stalled):
+            gaita_run(p, np.zeros(3), SolverConfig(mu=1e300))
 
 
 @pytest.mark.parametrize("bad, error", [
@@ -264,7 +264,7 @@ def test_c_kernel_rejects_bad_arrays(bad, error):
         r = r[:3]
     else:
         x = np.zeros(4)
-    with pytest.raises(error):
+    with pytest.raises(error):  # at bind time, before any pointer is used
         sweep(A, x, r, 0.1, ProxParams(c=0.01, q=0.5))
 
 
@@ -454,19 +454,17 @@ class TestScreening:
         p = noisy_instance.problem(0.009, 0.5)
         mu = 0.5
         params = ProxParams(c=p.lam * mu, q=p.q)
-        args = (mu, params)
-        screen = solvers.new_screen(p.A)
         x = np.zeros(p.n)
         r = p.A @ x - p.y
+        sweep = solvers._sweep_c(p.A, x, r, mu, params)
         for _ in range(150):
-            solvers._sweep_c(p.A, x, r, *args, screen)
+            sweep()
             r[:] = p.A @ x - p.y
         j = int(np.flatnonzero(x == 0.0)[0])
         col = p.A[:, j]
         r += 2.0 * params.tau / mu * col / (col @ col)
         xp, rp = x.copy(), r.copy()
-        step = solvers._sweep_c(p.A, x, r, *args, screen)
-        assert step == _sweep_python(p.A, xp, rp, *args)
+        assert sweep() == _sweep_python(p.A, xp, rp, mu, params)()
         assert x.tobytes() == xp.tobytes() and r.tobytes() == rp.tobytes()
         assert x[j] != 0.0
 
@@ -477,19 +475,10 @@ class TestScreening:
         x = np.zeros(p.n)
         r = p.A @ x - p.y
         with counting_ddot(monkeypatch) as calls:
+            sweep = solvers._sweep_c(p.A, x, r, 0.5, params, screen=False)
             for _ in range(3):
-                solvers._sweep_c(p.A, x, r, 0.5, params)
+                sweep()
         assert len(calls) == 3 * p.n
-
-    def test_state_must_fit_the_matrix(self):
-        if solvers._sweep is _sweep_python:
-            pytest.skip(f"no compiled sweep: {solvers.sweep_backend()}")
-        p, _ = small_problem(seed=3)
-        x = np.zeros(p.n)
-        r = p.A @ x - p.y
-        with pytest.raises(InvalidInstance, match="screening state"):
-            solvers._sweep_c(p.A, x, r, 0.5, ProxParams(c=0.01, q=0.5),
-                             solvers.new_screen(p.A[:, 1:]))
 
     @pytest.mark.parametrize("every", [1, 3, 7])
     def test_jaita_matches_plain_loop(self, noisy_instance, every):
@@ -528,6 +517,25 @@ def test_nan_objective_is_divergence(run, monkeypatch):
     assert trace.flags["diverged"] and trace.flags["sweeps"] == 5
     assert not trace.flags["converged"]
     assert np.isnan(trace.rows[-1][2])
+
+
+@pytest.mark.parametrize("run", [gaita_run, jaita_run])
+@pytest.mark.parametrize("y", [-1e308, -1e152], ids=["inf-objective",
+                                                   "guard-overflows"])
+def test_unguardable_start_is_divergence(run, y):
+    # an initial objective of inf, or of 2e304, whose 1e6-fold guard is
+    # inf: no later objective could exceed the guard, so the run ends at
+    # sweep 0 instead of running on to the cap or until the prox stalls
+    p = ProblemInstance(A=np.full((4, 3), 0.5), y=np.full(4, y), lam=0.01, q=0.5)
+    config = SolverConfig(mu=1.0, stop="cap")
+    with np.errstate(over="ignore"):
+        got = run(p, np.zeros(3), config)
+        want = plain_run(p, np.zeros(3), config, run.__name__.removesuffix("_run"))
+    state, trace = got
+    assert trace.flags["diverged"] and trace.flags["sweeps"] == 0
+    assert not trace.flags["converged"] and not trace.flags["did_not_converge"]
+    assert len(trace) == 1 and not np.any(state.x)
+    _assert_same_run(got, want)
 
 
 class TestTraceIO:
