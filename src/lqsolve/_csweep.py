@@ -5,10 +5,11 @@ The shared object is compiled with gcc on first import into the package's
 compiler flags, and written under a temporary name first so that
 concurrent first imports never load a half-written file.  Later imports
 only hash the source and load the cached file.  It is loaded once, here:
-``lq_sweep`` (gaita's sweep), ``lq_prox`` (jaita's prox) and ``ddot`` hold
-the handles, or are None with ``fallback_reason`` saying why; the solvers
-then run the Python sweep and prox, the oracles the kernel is tested
-against.
+``lq_sweep`` (gaita's sweep), ``lq_prox`` (jaita's prox), ``lq_parse``
+(the array-file parser behind ``cli.read_array``) and ``ddot`` hold the
+handles, or are None with ``fallback_reason`` saying why; the solvers then
+run the Python sweep and prox, the oracles the kernel is tested against,
+and ``cli.read_array`` parses with ``np.loadtxt``.
 """
 
 import ctypes
@@ -71,7 +72,8 @@ def _build(target):
 
 
 def load():
-    """Return (lq_sweep, lq_prox, ddot address), building the kernel if needed."""
+    """Return (lq_sweep, lq_prox, lq_parse, ddot address), building the
+    kernel if needed."""
     try:
         source = SOURCE.read_bytes()
     except OSError:
@@ -85,19 +87,22 @@ def load():
         lib = ctypes.CDLL(str(target))
     except OSError as exc:
         raise Unavailable(f"cannot load {target.name}: {exc}") from None
-    sweep, prox = lib.lq_sweep, lib.lq_prox
+    sweep, prox, parse = lib.lq_sweep, lib.lq_prox, lib.lq_parse
     sweep.restype = prox.restype = ctypes.c_int64
     sweep.argtypes = ([ctypes.c_void_p, ctypes.c_int64, ctypes.c_int64]
                       + [ctypes.c_void_p] * 3 + [ctypes.c_double] * 6
                       + [ctypes.c_void_p] * 2)
     prox.argtypes = ([ctypes.c_int64] + [ctypes.c_void_p] * 2
                      + [ctypes.c_double] * 5 + [ctypes.c_void_p])
-    return sweep, prox, ddot
+    parse.restype = ctypes.c_int
+    # a bytes argument passes its own buffer, not a copy
+    parse.argtypes = [ctypes.c_char_p] + [ctypes.c_int64] * 4 + [ctypes.c_void_p]
+    return sweep, prox, parse, ddot
 
 
 try:
-    lq_sweep, lq_prox, ddot = load()
+    lq_sweep, lq_prox, lq_parse, ddot = load()
     fallback_reason = None
 except Unavailable as exc:
-    lq_sweep = lq_prox = ddot = None
+    lq_sweep = lq_prox = lq_parse = ddot = None
     fallback_reason = str(exc)

@@ -1,6 +1,7 @@
 /* gaita's cyclic sweep (lq_sweep) and jaita's componentwise prox (lq_prox):
  * the compiled twins of solvers._sweep_python and prox.prox_scalar, written
- * to give the same bits.
+ * to give the same bits; and lq_parse, which reads the body of an array
+ * file to the same bits as np.loadtxt.
  *
  * The column dot product goes through the BLAS ddot numpy itself calls for
  * np.dot, passed in as a function pointer, and the prox root-finder repeats
@@ -11,8 +12,10 @@
  * multiply-add changes the rounding.
  */
 #include <float.h>
+#include <locale.h>
 #include <math.h>
 #include <stdint.h>
+#include <stdlib.h>
 #include <string.h>
 
 typedef double (*ddot_fn)(int64_t n, const double *x, int64_t incx,
@@ -228,4 +231,139 @@ int64_t lq_prox(int64_t n, const double *z, const double *x_prev, double c,
         if (!threshold(z[i], x_prev[i], c, q, tau, eta, tol, &out[i]))
             return i;
     return -1;
+}
+
+/* Array files.  A field of cli.write_array is a decimal made of
+ * [0-9+-.eE]; fields longer than this are left to the caller. */
+#define FIELD_MAX 63
+
+static int number_char(char ch)
+{
+    return (ch >= '0' && ch <= '9') || ch == '.' || ch == '-' || ch == '+'
+           || ch == 'e' || ch == 'E';
+}
+
+#if (defined(__x86_64__) || defined(__i386__)) && LDBL_MANT_DIG == 64
+/* A correctly rounded decimal-to-double conversion, for the fields where
+ * it can be proved so.  A decimal of at most 19 significant digits is
+ * w * 10^k with an integer w < 10^19 < 2^64.  When |k| <= 27,
+ * 10^|k| = 2^|k| * 5^|k| with 5^27 < 2^63, so w and 10^|k| are both exact
+ * in the 64-bit significand of the x87 long double, and t = w * 10^k (or
+ * w / 10^-k) is the exact value rounded once, to 64 bits: within half a
+ * unit of t's last bit.  Converting t to double rounds away its 11 low
+ * bits L, counted in those units; the point halfway between two doubles
+ * is L = 0x400.  If L <= 0x3fe, the exact value lies below L + 1/2 < 0x400,
+ * and if L >= 0x402 above L - 1/2 > 0x401, so rounding t to double rounds
+ * it the same way as a single correct rounding of the exact value.  That
+ * also holds where t is a power of two, as the error below it is smaller
+ * still.  Only L in 0x3ff..0x401 is undecided.  Those fields, and a t that
+ * is not a normal double (with these bounds, only zero), return 0 and go
+ * to strtod, as does any field this grammar does not take. */
+#define FAST_DECIMAL 1
+
+static const long double POW10[28] = {
+    1e0L, 1e1L, 1e2L, 1e3L, 1e4L, 1e5L, 1e6L, 1e7L, 1e8L, 1e9L, 1e10L,
+    1e11L, 1e12L, 1e13L, 1e14L, 1e15L, 1e16L, 1e17L, 1e18L, 1e19L, 1e20L,
+    1e21L, 1e22L, 1e23L, 1e24L, 1e25L, 1e26L, 1e27L};
+
+static int is_digit(const char *s, const char *e)
+{
+    return s < e && *s >= '0' && *s <= '9';
+}
+
+static int fast_decimal(const char *s, const char *e, double *v)
+{
+    int neg = *s == '-', dot = 0, n, k = 0;
+    uint64_t w = 0;
+    if (*s == '-' || *s == '+')
+        s++;
+    const char *m = s, *sig;
+    while (s < e && *s == '0')   /* a leading zero is not significant */
+        s++;
+    for (sig = s; is_digit(s, e); s++)
+        w = 10 * w + (uint64_t)(*s - '0');
+    n = (int)(s - sig);
+    if (s < e && *s == '.') {
+        const char *f = ++s;
+        dot = 1;
+        while (n == 0 && s < e && *s == '0')
+            s++;
+        for (sig = s; is_digit(s, e); s++)
+            w = 10 * w + (uint64_t)(*s - '0');
+        n += (int)(s - sig);
+        k = -(int)(s - f);
+    }
+    if (n > 19 || s - m == dot)   /* too many digits, or none */
+        return 0;
+    if (s < e) {   /* the exponent */
+        if (*s != 'e' && *s != 'E')
+            return 0;
+        int eneg = ++s < e && *s == '-', x = 0;
+        if (s < e && (*s == '-' || *s == '+'))
+            s++;
+        if (s == e)
+            return 0;
+        for (; s < e; s++) {
+            if (*s < '0' || *s > '9' || (x = 10 * x + (*s - '0')) > 1000)
+                return 0;
+        }
+        k += eneg ? -x : x;
+    }
+    if (k < -27 || k > 27)
+        return 0;
+    long double t = k < 0 ? (long double)w / POW10[-k] : (long double)w * POW10[k];
+    uint64_t bits;
+    memcpy(&bits, &t, sizeof bits);   /* the significand, integer bit included */
+    double d = (double)t;
+    if ((bits & 0x7ff) - 0x3ff <= 2 || !isnormal(d))
+        return 0;
+    *v = neg ? -d : d;
+    return 1;
+}
+#endif
+
+/* The finite double that the whole field [s, e) spells, into *v; 0 when it
+ * spells none.  1 <= e - s <= FIELD_MAX. */
+static int parse_field(const char *s, const char *e, double *v)
+{
+#ifdef FAST_DECIMAL
+    if (fast_decimal(s, e, v))
+        return 1;
+#endif
+    char field[FIELD_MAX + 1], *end;
+    size_t n = (size_t)(e - s);
+    memcpy(field, s, n);
+    field[n] = '\0';
+    *v = strtod(field, &end);
+    return end == field + n && isfinite(*v);
+}
+
+/* Parse the body of an array file, buf[pos..len), into out, rows * cols
+ * doubles in row order.  Returns 1 when the body is exactly what
+ * cli.write_array writes: rows lines of cols fields split by ',', each
+ * line ended by '\n' (the last may end at the end of the buffer), each
+ * field at most FIELD_MAX characters of [0-9+-.eE] that strtod reads
+ * whole to a finite double; and LC_NUMERIC's decimal point is '.'.
+ * Otherwise returns 0, with out partly written, for the caller to parse
+ * the body another way. */
+int lq_parse(const char *buf, int64_t len, int64_t pos, int64_t rows,
+             int64_t cols, double *out)
+{
+    if (strcmp(localeconv()->decimal_point, ".") != 0)
+        return 0;
+    const char *p = buf + pos, *end = buf + len;
+    for (int64_t i = 0; i < rows; i++) {
+        for (int64_t j = 0; j < cols; j++) {
+            const char *s = p;
+            while (p < end && number_char(*p))
+                p++;
+            if (p == s || p - s > FIELD_MAX || !parse_field(s, p, out++))
+                return 0;
+            if (p < end && *p == (j + 1 < cols ? ',' : '\n'))
+                p++;
+            else if (p < end || i + 1 < rows || j + 1 < cols)
+                return 0;
+        }
+    }
+    return p == end;
 }

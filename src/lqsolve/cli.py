@@ -31,7 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import diagnostics, harness, solvers
+from . import _csweep, diagnostics, harness, solvers
 from .core import format_float
 from .errors import CorruptFile, LqsolveError
 from .prox import ProxParams, prox_scalar
@@ -63,9 +63,27 @@ def write_array(path, a):
 _NON_BLANK = re.compile(rb"\S")
 
 
+def _parse_exact(data, pos, rows, cols):
+    """The rows x cols array in data[pos:] as lq_parse reads it, or None
+    where the kernel is not loaded or the body is not in write_array's
+    exact form."""
+    parse = _csweep.lq_parse
+    # every field takes a byte at least: a header claiming more than the
+    # file holds is left to np.loadtxt's message, and sizes no allocation
+    if parse is None or rows < 1 or cols < 1 or rows * cols > len(data):
+        return None
+    a = np.empty((rows, cols))
+    return a if parse(data, len(data), pos, rows, cols, a.ctypes.data) else None
+
+
 def read_array(path, sha256=None):
     """Read an array file once; when ``sha256`` is given, the bytes read must
-    have that digest, and those same bytes are parsed."""
+    have that digest, and those same bytes are parsed.
+
+    A body in write_array's exact form is parsed by the C kernel's
+    lq_parse, to the bits np.loadtxt gives; any other body, and every
+    body where the kernel is not loaded, goes to np.loadtxt, which then
+    accepts or rejects it with its own message."""
     data = Path(path).read_bytes()
     if sha256 is not None and hashlib.sha256(data).hexdigest() != sha256:
         raise CorruptFile(f"{path}: its sha256 is not the one recorded in manifest.json")
@@ -77,7 +95,9 @@ def read_array(path, sha256=None):
         if _NON_BLANK.search(data, fh.tell()) is None:  # numpy would only warn
             raise LqsolveError(f"{path}: header says {rows}x{cols}, "
                                "but no data rows follow")
-        a = np.loadtxt(fh, delimiter=",", ndmin=2)
+        a = _parse_exact(data, fh.tell(), rows, cols)
+        if a is None:
+            a = np.loadtxt(fh, delimiter=",", ndmin=2)
     except ValueError as exc:  # a malformed header or cell
         raise LqsolveError(f"{path}: {exc}") from None
     if a.shape != (rows, cols):

@@ -274,6 +274,7 @@ def _rmse_vs(x, ref, ref_norm):
     return float(_norm(x - ref) / ref_norm)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _run(p, x0, config, algorithm, bind, mu_bound, updates_per_sweep):
     """The loop both solvers share; returns (final state, trace).
 
@@ -285,6 +286,8 @@ def _run(p, x0, config, algorithm, bind, mu_bound, updates_per_sweep):
     r only in place and never rebinds them, so a step may hold their
     memory for the whole run, as the C sweep does.  ``mu_bound(A)`` is
     the curvature bound whose inverse the step size should stay below.
+    numpy's overflow and invalid-value warnings are off throughout: the
+    divergence guard is what reports an objective that overflows.
     """
     params = ProxParams(c=p.lam * config.mu, q=p.q)
     state = SolverState.initial(p, x0)

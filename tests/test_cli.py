@@ -1,9 +1,11 @@
 import argparse
 import json
+import locale
 import os
 import subprocess
 import sys
 import warnings
+from decimal import Decimal, localcontext
 from pathlib import Path
 
 import numpy as np
@@ -67,6 +69,99 @@ class TestArrayIO:
             with pytest.raises(LqsolveError) as err:
                 cli.read_array(path)
             assert str(err.value).startswith(f"{path}: ")
+
+    # every body of test_header_mismatch_detected, then an extra field,
+    # CRLF, a blank line, a leading blank, a hex float, inf, an underscore,
+    # a valid file without its last newline, and an empty field
+    ODD_BODIES = ("2,2\n1.0,2.0\n", "5\n1.0\n", "1,2\n1.0,abc\n", "",
+                  "1,2\n1.0,2.0,3.0\n", "2,2\r\n1.0,2.0\r\n3.0,4.0\r\n",
+                  "2,2\n1.0,2.0\n\n3.0,4.0\n", "1,2\n 1.0,2.0\n", "1,1\n0x1p3\n",
+                  "1,1\ninf\n", "1,1\n1_0\n", "2,1\n-0.0\n1e-400", "1,2\n1.0,\n")
+
+    @pytest.mark.parametrize("text", ODD_BODIES)
+    def test_kernel_and_loadtxt_read_alike(self, text, tmp_path, monkeypatch):
+        # the kernel parses only write_array's exact form and leaves any
+        # other file to np.loadtxt, so each file ends the same either way
+        path = tmp_path / "a.csv"
+        path.write_bytes(text.encode())
+
+        def outcome():
+            try:
+                return cli.read_array(path).tobytes()
+            except Exception as exc:
+                return type(exc), str(exc)
+
+        with_kernel = outcome()
+        monkeypatch.setattr(_csweep, "lq_parse", None)
+        assert with_kernel == outcome()
+
+
+def _lq_parse_column(tokens):
+    """The tokens parsed by the kernel as one column; it must take them all."""
+    body = ("\n".join(tokens) + "\n").encode()
+    out = np.empty(len(tokens))
+    assert _csweep.lq_parse(body, len(body), 0, len(tokens), 1, out.ctypes.data) == 1
+    return out
+
+
+def _midpoint_decimals(rng, count):
+    """Decimals of 17 to 19 significant digits next to the midpoint of two
+    adjacent doubles, in e and in f notation."""
+    tokens = []
+    with localcontext() as ctx:
+        ctx.prec = 60
+        for v in (rng.standard_normal(count) * 10.0 ** rng.uniform(-8, 8, count)).tolist():
+            mid = (Decimal(v) + Decimal(float(np.nextafter(v, np.inf)))) / 2
+            for digits in (17, 18, 19):
+                e = f"{mid:.{digits - 1}e}"
+                tokens += [e, format(Decimal(e), "f")]
+    return tokens
+
+
+@pytest.mark.skipif(_csweep.lq_parse is None, reason="C kernel not loaded")
+def test_lq_parse_matches_float_bit_for_bit():
+    rng = np.random.default_rng(3)
+    patterns = rng.integers(0, 2**64, 60_000, dtype=np.uint64, endpoint=False)
+    subnormals = rng.integers(1, 2**52, 2_000, dtype=np.uint64)
+    values = np.concatenate([patterns.view(np.float64), subnormals.view(np.float64),
+                             [0.0, -0.0, 5e-324, 2.2250738585072014e-308,
+                              1.7976931348623157e308]])
+    values = values[np.isfinite(values)]
+    scaled = rng.standard_normal(20_000) * 10.0 ** rng.uniform(-30, 30, 20_000)
+    tokens = ([repr(v) for v in values.tolist()]
+              + ["%.17g" % v for v in scaled.tolist()]
+              + ["%.17e" % v for v in (-scaled).tolist()]
+              + _midpoint_decimals(rng, 5_000))
+    want = np.array([float(t) for t in tokens])
+    got = _lq_parse_column(tokens)
+    wrong = np.flatnonzero(got.view(np.uint64) != want.view(np.uint64))
+    assert [tokens[i] for i in wrong[:5]] == []
+
+
+@pytest.mark.skipif(_csweep.lq_parse is None, reason="C kernel not loaded")
+def test_read_array_ignores_a_decimal_comma_locale(tmp_path, rng):
+    # strtod reads LC_NUMERIC's decimal point, np.loadtxt does not; under a
+    # locale whose point is not "." the file must read to the same bits
+    path = tmp_path / "a.csv"
+    a = rng.standard_normal((6, 4)) * 1e-30
+    cli.write_array(path, a)
+    saved = locale.setlocale(locale.LC_NUMERIC)
+    for name in ("de_DE.UTF-8", "de_DE.utf8", "fr_FR.UTF-8", "fr_FR.utf8",
+                 "ru_RU.UTF-8", "nl_NL.UTF-8", "de_DE", "fr_FR"):
+        try:
+            locale.setlocale(locale.LC_NUMERIC, name)
+        except locale.Error:
+            continue
+        if locale.localeconv()["decimal_point"] != ".":
+            break
+    else:
+        locale.setlocale(locale.LC_NUMERIC, saved)
+        pytest.skip("no installed locale has a decimal point other than '.'")
+    try:
+        got = cli.read_array(path)
+    finally:
+        locale.setlocale(locale.LC_NUMERIC, saved)
+    assert got.tobytes() == a.tobytes()
 
 
 class TestGen:

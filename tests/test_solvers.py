@@ -271,8 +271,8 @@ def test_c_kernel_rejects_bad_arrays(bad, error):
 def test_kernel_builds_into_an_empty_cache(tmp_path, monkeypatch):
     _kernel("c")
     monkeypatch.setattr(_csweep, "CACHE", tmp_path)
-    sweep, prox, ddot = _csweep.load()
-    assert sweep is not None and prox is not None and ddot
+    sweep, prox, parse, ddot = _csweep.load()
+    assert sweep is not None and prox is not None and parse is not None and ddot
     assert [f.suffix for f in tmp_path.iterdir()] == [".so"]
 
 
@@ -536,6 +536,19 @@ def test_unguardable_start_is_divergence(run, y):
     assert not trace.flags["converged"] and not trace.flags["did_not_converge"]
     assert len(trace) == 1 and not np.any(state.x)
     _assert_same_run(got, want)
+
+
+@pytest.mark.parametrize("name", ["python", "c"])
+def test_overflowing_start_warns_nothing(name, monkeypatch):
+    # the loop runs with numpy's overflow warnings off: an initial
+    # objective of inf ends the run flagged at sweep 0, and that is all
+    monkeypatch.setattr(solvers, "_sweep", _kernel(name))
+    p = ProblemInstance(A=np.full((2, 2), 0.5), y=np.full(2, -1e308), lam=0.01, q=0.5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for run in (gaita_run, jaita_run):
+            _, trace = run(p, np.zeros(2), SolverConfig(mu=1.0))
+            assert trace.flags["diverged"] and trace.flags["sweeps"] == 0
 
 
 class TestTraceIO:
