@@ -22,8 +22,11 @@ import numpy as np
 HERE = Path(__file__).resolve().parent
 SOURCE = HERE / "_sweep.c"
 CACHE = HERE / "__pycache__"
-# -ffp-contract=off: a fused multiply-add would round differently from numpy
-FLAGS = ("-O2", "-std=c11", "-ffp-contract=off", "-fPIC", "-shared")
+# -O3 vectorizes the residual update (_sweep.c picks its lanes at load time);
+# -ffp-contract=off: a fused multiply-add would round differently from numpy.
+# No fast-math flag and no -march: the first would reorder sums, the second
+# would tie the cached build to the CPU that compiled it.
+FLAGS = ("-O3", "-std=c11", "-ffp-contract=off", "-fPIC", "-shared")
 # numpy's np.dot of two float64 vectors calls this ddot of its bundled OpenBLAS
 DDOT = "scipy_cblas_ddot64_"
 

@@ -8,7 +8,10 @@
  * prox.solve_inverse operation for operation: in closed form at q = 1/2 and
  * q = 2/3, by Newton to prox.TOL at any other q.  sqrt rounds correctly
  * everywhere, and Python's math module calls the same libm cbrt, acos, cos
- * and pow.  Build without fast-math and with -ffp-contract=off: a fused
+ * and pow.  The sweep's rank-1 residual update runs in AVX-512 or AVX2
+ * lanes where the CPU has them, with the same bits: each lane multiplies
+ * and adds once, rounding each, as numpy does.  Build without fast-math,
+ * so that no sum is reordered, and with -ffp-contract=off: a fused
  * multiply-add changes the rounding.
  */
 #include <float.h>
@@ -160,6 +163,26 @@ static void screen_leave(int64_t m, int64_t n, const double *r, double *st,
     st[3 * n + m] = moved;
 }
 
+/* r += d * col, with the bits of numpy's r += d * A[:, i] in every clone
+ * (see the top of this file).  The dynamic loader picks the widest clone
+ * the CPU runs, through a glibc ifunc; any other compiler, target or C
+ * library builds the plain loop. */
+#if defined(__x86_64__) && defined(__GLIBC__) && defined(__has_attribute)
+#if __has_attribute(target_clones)
+#define VECTOR_CLONES __attribute__((target_clones("avx512f", "avx2", "default")))
+#endif
+#endif
+#ifndef VECTOR_CLONES
+#define VECTOR_CLONES
+#endif
+
+VECTOR_CLONES
+static void residual_update(int64_t m, double d, const double *col, double *r)
+{
+    for (int64_t j = 0; j < m; j++)
+        r[j] += d * col[j];
+}
+
 /* Sweep the n columns of the column-major m x n matrix a, updating x and
  * the residual r = a x - y in place.  out[0] receives the largest
  * single-coordinate change.  Returns -1, or the index of the coordinate
@@ -205,8 +228,7 @@ int64_t lq_sweep(ddot_fn ddot, int64_t m, int64_t n, const double *a,
         }
         double d = xi - x[i];
         if (d != 0.0) {
-            for (int64_t j = 0; j < m; j++)
-                r[j] += d * col[j];
+            residual_update(m, d, col, r);
             x[i] = xi;
             if (fabs(d) > max_step)
                 max_step = fabs(d);

@@ -107,7 +107,8 @@ def rmse(x, x_ref):
     norm = np.linalg.norm(x_ref)
     if norm == 0.0:
         raise InvalidInstance("reference vector is zero")
-    return _rmse_vs(x, x_ref, norm)
+    with np.errstate(over="ignore", invalid="ignore"):  # a diverged x gives inf
+        return _rmse_vs(x, x_ref, norm)
 
 
 @dataclass

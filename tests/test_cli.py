@@ -1,6 +1,7 @@
 import argparse
 import json
 import locale
+import math
 import os
 import subprocess
 import sys
@@ -284,6 +285,22 @@ class TestSolve:
         assert code == 0
         summary = json.loads((out / "summary.json").read_text())
         assert summary["flags"]["diverged"]
+
+    def test_jaita_overflow_is_flagged_without_a_warning(self, tmp_path, capsys):
+        # the run loop is silent, and so is the summary's final_rmse of inf
+        inst = tmp_path / "inst20"
+        run_cli(*GEN_SMALL, "--out-dir", str(inst), "--quiet")
+        out = tmp_path / "runo"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run_cli("solve", "--instance-dir", str(inst), "--algorithm",
+                           "jaita", "--mu", "1e300", "--out-dir", str(out))
+        assert code == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["flags"]["diverged"]
+        assert summary["final_rmse"] == math.inf
+        printed = capsys.readouterr()
+        assert printed.err == "" and len(printed.out.splitlines()) == 1
 
     def test_config_file_and_flag_precedence(self, tmp_path, instance_dir):
         cfg_path = tmp_path / "cfg.json"

@@ -246,6 +246,32 @@ def test_stalled_prox_raises_from_a_run(name, monkeypatch):
             gaita_run(p, np.zeros(3), SolverConfig(mu=1e300))
 
 
+# residual lengths at and around the widths of the kernel's vector lanes
+# (2, 4 and 8 doubles), so that each remainder loop runs
+@pytest.mark.parametrize("m", [1, 2, 3, 5, 7, 8, 9, 15, 16, 17, 33])
+def test_kernel_matches_pure_python_at_every_lane_remainder(m):
+    sweep = _kernel("c")
+    p, _ = small_problem(seed=m, m=m, n=2 * m + 3, k=1)
+    mu = 0.95 / l_max(p.A)
+    params = ProxParams(c=p.lam * mu, q=p.q)
+    for screen in (False, True):
+        # offset 1: x and r are views that start one double into a buffer
+        for offset in (0, 1):
+            x = np.zeros(p.n + offset)[offset:]
+            r = np.zeros(p.m + offset)[offset:]
+            r[:] = -p.y
+            xp, rp = np.zeros(p.n), -p.y
+            sweep_c = sweep(p.A, x, r, mu, params, screen=screen)
+            sweep_py = _sweep_python(p.A, xp, rp, mu, params)
+            for k in range(8):
+                assert sweep_c() == sweep_py(), (screen, offset, k)
+                assert x.tobytes() == xp.tobytes(), (screen, offset, k)
+                assert r.tobytes() == rp.tobytes(), (screen, offset, k)
+                r[:] = p.A @ x - p.y
+                rp[:] = p.A @ xp - p.y
+            assert np.any(x != 0.0)  # the residual update ran
+
+
 @pytest.mark.parametrize("bad, error", [
     ("c_ordered_A", InvalidInstance), ("float32_x", InvalidInstance),
     ("read_only_x", InvalidInstance), ("short_r", DimensionMismatch),
@@ -284,6 +310,15 @@ def test_kernel_compiles_without_warnings(tmp_path):
                            "-o", str(tmp_path / "sweep.so"), str(_csweep.SOURCE), "-lm"],
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_kernel_flags_keep_ieee_rounding():
+    # the kernel's bits equal numpy's only when every operation rounds
+    # alone and no sum is reordered; -march=native would also tie the
+    # cached build to the CPU that compiled it
+    assert "-ffp-contract=off" in _csweep.FLAGS
+    assert not {"-ffast-math", "-Ofast", "-funsafe-math-optimizations",
+                "-fassociative-math", "-march=native"} & set(_csweep.FLAGS)
 
 
 @pytest.mark.parametrize("fault, reason", [
