@@ -16,8 +16,8 @@ from .errors import (AsymmetricMatrix, ConvergenceFailure, CorruptFile,
                      NotStationary)
 from .harness import (ExperimentResult, GeneratedInstance, InstanceSpec,
                       add_noise_snr, generate_instance, rmse, run_experiment)
-from .prox import ProxParams, prox_scalar, prox_vector, solve_inverse
+from .prox import ProxParams, prox_scalar, prox_vector
 from .solvers import (STOP_RULES, IterationTrace, SolverConfig, SolverState,
-                      gaita_run, gaita_update, jaita_run)
+                      gaita_run, jaita_run)
 
 __version__ = "0.1.0"

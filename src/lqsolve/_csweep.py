@@ -1,15 +1,15 @@
-"""Build, cache and load the C kernel in ``_sweep.c``.
+"""Build, cache and load the C kernel in ``_sweep.c``, which lqsolve needs.
 
 The shared object is compiled with gcc on first import into the package's
 ``__pycache__``, under a name keyed by a hash of the source and the
 compiler flags, and written under a temporary name first so that
 concurrent first imports never load a half-written file.  Later imports
 only hash the source and load the cached file.  It is loaded once, here:
-``lq_sweep`` (gaita's sweep), ``lq_prox`` (jaita's prox), ``lq_parse``
-(the array-file parser behind ``cli.read_array``) and ``ddot`` hold the
-handles, or are None with ``fallback_reason`` saying why; the solvers then
-run the Python sweep and prox, the oracles the kernel is tested against,
-and ``cli.read_array`` parses with ``np.loadtxt``.
+``lq_sweep`` (gaita's sweep), ``lq_prox`` (the prox behind
+``prox.prox_vector``), ``lq_parse`` (the array-file parser behind
+``cli.read_array``) and ``ddot`` hold the handles.  Where the kernel
+cannot be built or loaded, importing lqsolve raises Unavailable, whose
+message names the cause.
 """
 
 import ctypes
@@ -31,7 +31,7 @@ FLAGS = ("-O3", "-std=c11", "-ffp-contract=off", "-fPIC", "-shared")
 DDOT = "scipy_cblas_ddot64_"
 
 
-class Unavailable(Exception):
+class Unavailable(ImportError):
     """The C kernel cannot be built or loaded here."""
 
 
@@ -103,9 +103,4 @@ def load():
     return sweep, prox, parse, ddot
 
 
-try:
-    lq_sweep, lq_prox, lq_parse, ddot = load()
-    fallback_reason = None
-except Unavailable as exc:
-    lq_sweep = lq_prox = lq_parse = ddot = None
-    fallback_reason = str(exc)
+lq_sweep, lq_prox, lq_parse, ddot = load()

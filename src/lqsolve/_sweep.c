@@ -1,12 +1,13 @@
-/* gaita's cyclic sweep (lq_sweep) and jaita's componentwise prox (lq_prox):
- * the compiled twins of solvers._sweep_python and prox.prox_scalar, written
- * to give the same bits; and lq_parse, which reads the body of an array
- * file to the same bits as np.loadtxt.
+/* gaita's cyclic sweep (lq_sweep) and the componentwise prox behind
+ * prox.prox_vector (lq_prox), the only implementations lqsolve runs; and
+ * lq_parse, which reads the body of an array file to the same bits as
+ * np.loadtxt.
  *
  * The column dot product goes through the BLAS ddot numpy itself calls for
- * np.dot, passed in as a function pointer, and the prox root-finder repeats
- * prox.solve_inverse operation for operation: in closed form at q = 1/2 and
- * q = 2/3, by Newton to prox.TOL at any other q.  sqrt rounds correctly
+ * np.dot, passed in as a function pointer.  The prox root-finder works in
+ * closed form at q = 1/2 and q = 2/3 and by Newton to prox.TOL at any
+ * other q, operation for operation as the Python oracles in the tests'
+ * conftest.py do, so the two give the same bits: sqrt rounds correctly
  * everywhere, and Python's math module calls the same libm cbrt, acos, cos
  * and pow.  The sweep's rank-1 residual update runs in AVX-512 or AVX2
  * lanes where the CPU has them, with the same bits: each lane multiplies
@@ -56,8 +57,8 @@ static double closed_form(double z_abs, double c, double q)
 }
 
 /* Root of v + c*q*v^(q-1) = z_abs on [eta, z_abs]; 0 when it stalls. */
-static int solve_inverse(double z_abs, double c, double q, double eta,
-                         double tol, double *root)
+static int nonzero_root(double z_abs, double c, double q, double eta,
+                        double tol, double *root)
 {
     double v = closed_form(z_abs, c, q);
     if (isfinite(v)) {   /* rounding may leave it an ulp outside [eta, z_abs] */
@@ -101,7 +102,7 @@ static int threshold(double z, double x_prev, double c, double q, double tau,
 {
     double z_abs = fabs(z), v;
     if (z_abs > tau) {
-        if (!solve_inverse(z_abs, c, q, eta, tol, &v))
+        if (!nonzero_root(z_abs, c, q, eta, tol, &v))
             return 0;
         *xi = copysign(v, z);
     } else {
@@ -187,7 +188,7 @@ static void residual_update(int64_t m, double d, const double *col, double *r)
  * the residual r = a x - y in place.  out[0] receives the largest
  * single-coordinate change.  Returns -1, or the index of the coordinate
  * whose prox stalled, with its |z| in out[1]; the coordinates before it
- * are already updated, as in the Python sweep.  screen is NULL, or the
+ * are already updated, as in the oracle sweep.  screen is NULL, or the
  * screening state described above. */
 int64_t lq_sweep(ddot_fn ddot, int64_t m, int64_t n, const double *a,
                  double *x, double *r, double mu, double c, double q,

@@ -65,15 +65,14 @@ _NON_BLANK = re.compile(rb"\S")
 
 def _parse_exact(data, pos, rows, cols):
     """The rows x cols array in data[pos:] as lq_parse reads it, or None
-    where the kernel is not loaded or the body is not in write_array's
-    exact form."""
-    parse = _csweep.lq_parse
+    where the body is not in write_array's exact form."""
     # every field takes a byte at least: a header claiming more than the
     # file holds is left to np.loadtxt's message, and sizes no allocation
-    if parse is None or rows < 1 or cols < 1 or rows * cols > len(data):
+    if rows < 1 or cols < 1 or rows * cols > len(data):
         return None
     a = np.empty((rows, cols))
-    return a if parse(data, len(data), pos, rows, cols, a.ctypes.data) else None
+    parsed = _csweep.lq_parse(data, len(data), pos, rows, cols, a.ctypes.data)
+    return a if parsed else None
 
 
 def read_array(path, sha256=None):
@@ -81,9 +80,8 @@ def read_array(path, sha256=None):
     have that digest, and those same bytes are parsed.
 
     A body in write_array's exact form is parsed by the C kernel's
-    lq_parse, to the bits np.loadtxt gives; any other body, and every
-    body where the kernel is not loaded, goes to np.loadtxt, which then
-    accepts or rejects it with its own message."""
+    lq_parse, to the bits np.loadtxt gives; any other body goes to
+    np.loadtxt, which then accepts or rejects it with its own message."""
     data = Path(path).read_bytes()
     if sha256 is not None and hashlib.sha256(data).hexdigest() != sha256:
         raise CorruptFile(f"{path}: its sha256 is not the one recorded in manifest.json")
@@ -241,10 +239,8 @@ def cmd_solve(args):
     if not args.quiet:
         status = "converged" if trace.flags["converged"] else (
             "diverged" if trace.flags["diverged"] else "did not converge")
-        backend = (f" (sweep: {solvers.sweep_backend()})"
-                   if args.algorithm == "gaita" else "")
-        print(f"{args.algorithm} {status} after {trace.flags['sweeps']} sweeps"
-              f"{backend}; outputs in {out_dir}")
+        print(f"{args.algorithm} {status} after {trace.flags['sweeps']} sweeps; "
+              f"outputs in {out_dir}")
     return EXIT_OK
 
 

@@ -9,12 +9,12 @@ rule and one divergence guard, and records traces at sweep granularity.
 SolverConfig holds a run's settings; its ``stop`` is one of STOP_RULES.
 Every recorded value is deterministic: the trace holds no wall times.
 The loop binds its solver's step once per run, ``step = bind(A, x, r,
-mu, params)``: ``_sweep`` (``_sweep_c``, or ``_sweep_python`` where the C
-kernel cannot load) for gaita, ``_jacobi_step`` for jaita.  The C binding
-takes its arrays' pointers and owns its screening state, which skips a
-zero coordinate's dot product while a bound proves it stays zero, with
-every output unchanged.  The prox tolerance is the constant prox.TOL.
-default_mu gives each solver's default step size.
+mu, params)``: ``_sweep``, the C kernel's sweep, for gaita, and
+``_jacobi_step`` for jaita.  The C binding takes its arrays' pointers and
+owns its screening state, which skips a zero coordinate's dot product
+while a bound proves it stays zero, with every output unchanged.  The
+prox tolerance is the constant prox.TOL.  default_mu gives each solver's
+default step size.
 """
 
 import csv
@@ -26,7 +26,7 @@ import numpy as np
 from . import _csweep, core, prox
 from .core import format_float, objective_from_residual
 from .errors import DimensionMismatch, InvalidInstance
-from .prox import ProxParams, prox_scalar, prox_vector, stalled
+from .prox import ProxParams, prox_vector, stalled
 
 DIVERGENCE_FACTOR = 1e6
 
@@ -143,61 +143,12 @@ class IterationTrace:
 
 
 # ---------------------------------------------------------------------------
-# coordinate updates
+# steps
 
-def _coordinate_step(A, x, r, mu, params, i):
-    """Update coordinate i (0-based) in place on x and r; returns the change.
-
-    The forward step, the threshold and the rank-1 residual update; x[i]
-    is assigned only when it changes.
-    """
-    xi = prox_scalar(x[i] - mu * np.dot(A[:, i], r), x[i], params)
-    d = xi - x[i]
-    if d != 0.0:
-        r += d * A[:, i]
-        x[i] = xi
-    return d
-
-
-def gaita_update(state, p, config):
-    """One cyclic coordinate update; returns the successor state.
-
-    Reference implementation used by acceptance criterion 3 and the tests;
-    the run loop below executes the same arithmetic through a compiled
-    sweep kernel.
-    """
-    x, r = state.x.copy(), state.residual.copy()
-    _coordinate_step(p.A, x, r, config.mu, ProxParams(c=p.lam * config.mu, q=p.q),
-                     state.n % p.n)
-    return SolverState(x=x, n=state.n + 1, residual=r,
-                       objective=objective_from_residual(p, x, r))
-
-
-def _sweep_python(A, x, r, mu, params):
-    """Bind the cyclic sweep to x and r: returns a function of no arguments
-    that runs one sweep in place on them and returns the largest change.
-
-    The oracle for _sweep_c, and the backend where the C kernel cannot load.
-    It computes every coordinate: skipping one that screening proves stays
-    zero, as _sweep_c does, gives the same bits.  Floating-point warnings
-    are silenced, as in C: a non-finite forward step ends in the same
-    ConvergenceFailure on both backends.
-    """
-    def sweep():
-        max_step = 0.0
-        with np.errstate(over="ignore", invalid="ignore"):
-            for i in range(A.shape[1]):
-                d = abs(_coordinate_step(A, x, r, mu, params, i))
-                if d > max_step:
-                    max_step = d
-        return max_step
-
-    return sweep
-
-
-def _sweep_c(A, x, r, mu, params, screen=True):
-    """Bind the C kernel in _sweep.c to x and r; same protocol and bits as
-    _sweep_python.
+def _sweep(A, x, r, mu, params, screen=True):
+    """Bind the cyclic sweep, the C kernel in _sweep.c, to x and r: returns
+    a function of no arguments that runs one sweep in place on them and
+    returns the largest change.
 
     The arguments are checked and the raw pointers taken here, once: the
     returned function always sweeps these very arrays, so a caller must
@@ -235,17 +186,6 @@ def _sweep_c(A, x, r, mu, params, screen=True):
 
     sweep.arrays = (A, x, r, state)  # keeps the memory behind the pointers alive
     return sweep
-
-
-_sweep = _sweep_python if _csweep.lq_sweep is None else _sweep_c
-
-
-def sweep_backend():
-    """Which sweep kernel gaita runs: "c", or "python" and why."""
-    if _sweep is _sweep_c:
-        return "c"
-    reason = _csweep.fallback_reason
-    return f"python; {reason}" if reason else "python"
 
 
 def _jacobi_step(A, x, r, mu, params):

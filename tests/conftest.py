@@ -5,11 +5,17 @@ grid search for the scalar thresholding operator, the closed-form
 half-thresholding formula for q = 1/2, bisection on the quartic whose root
 gives the q = 2/3 operator, cyclic Jacobi rotations for
 eigenvalues, plain bisection for the monotone scalar equation, and a run
-loop that computes every sweep.
+loop that computes every sweep.  The Python root-finder, coordinate update
+and sweep here are the oracles the C kernel in _sweep.c is checked against
+bit for bit: the same operations in the same order, in Python.
 """
 
 import csv
+import hashlib
+import io
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,8 +23,9 @@ import pytest
 from lqsolve import solvers
 from lqsolve.core import (ProblemInstance, l_max, objective_from_residual,
                           spectral_norm_sq)
+from lqsolve.errors import InvalidInstance, LqsolveError
 from lqsolve.harness import InstanceSpec, generate_instance
-from lqsolve.prox import ProxParams, prox_vector
+from lqsolve.prox import TOL, ProxParams, stalled
 
 
 def grid_prox_oracle(z, c, q, resolution=1e-4):
@@ -104,13 +111,157 @@ def jacobi_eigenvalues(m, sweeps=100, tol=1e-14):
     return np.sort(np.diag(a))
 
 
+def _closed_form(z_abs, c, q):
+    """The root of g(v) = z_abs (z_abs >= tau) in closed form, with
+    lambda = 2c, at q = 1/2 (Xu, Chang, Xu, Zhang, IEEE TNNLS 2012) and
+    q = 2/3 (Cao, Sun, Xu, JVCIR 2013); not finite at any other q, or where
+    an intermediate overflows.  _sweep.c's closed_form, operation for
+    operation."""
+    if q == 0.5:
+        w = c * (0.75 * math.sqrt(3.0)) / (z_abs * math.sqrt(z_abs))
+        phi = math.acos(1.0 if w > 1.0 else w)
+        angle = 2.0 * math.pi / 3.0 - 2.0 / 3.0 * phi
+        return 2.0 / 3.0 * z_abs * (1.0 + math.cos(angle))
+    if q == 2.0 / 3.0:
+        s = math.sqrt(2.0 * c)  # lambda^(1/2)
+        f = math.sqrt(s)        # lambda^(1/4)
+        u = z_abs / (s * f)
+        u = 27.0 / 16.0 * u * u
+        if u < 1.0:
+            u = 1.0
+        t = math.cbrt(u + math.sqrt(u - 1.0) * math.sqrt(u + 1.0))
+        a = 2.0 / math.sqrt(3.0) * f * math.sqrt((t + 1.0 / t) / 2.0)
+        d = 2.0 * z_abs / a - a * a
+        if not d >= 0.0:
+            return math.nan
+        h = (a + math.sqrt(d)) / 2.0
+        return h * h * h
+    return math.nan
+
+
+def solve_inverse(z_abs, params):
+    """Root of g(v) = v + c*q*v^(q-1) = z_abs on [eta, z_abs].
+
+    At q = 1/2 and q = 2/3 the root is the closed form, kept inside
+    [eta, z_abs] against rounding.  Elsewhere, and where the closed form
+    overflows, Newton runs: g is strictly increasing and convex on the
+    bracket (g'(eta) = 1 - q/2 > 0), so a Newton iteration started at the
+    right end descends monotonically onto the root, to prox.TOL; a
+    bisection safeguard keeps it inside the bracket regardless.  An
+    infinite z_abs has no root, and the iteration stalls.  Requires
+    z_abs >= tau, i.e. g(eta) <= z_abs.  _sweep.c's nonzero_root.
+    """
+    c, q, eta = params.c, params.q, params.eta
+    if z_abs < params.tau:
+        raise InvalidInstance(
+            f"solve_inverse needs z_abs >= tau ({params.tau:g}), got {z_abs:g}")
+    v = _closed_form(z_abs, c, q)
+    if math.isfinite(v):
+        return min(max(v, eta), z_abs)
+    lo, hi = eta, z_abs
+    v = z_abs
+    for _ in range(200):
+        g = v + c * q * v ** (q - 1.0) - z_abs
+        if abs(g) <= TOL:
+            return v
+        if g > 0.0:
+            hi = v
+        else:
+            lo = v
+        gp = 1.0 + c * q * (q - 1.0) * v ** (q - 2.0)
+        step_ok = gp > 0.0
+        if step_ok:
+            v_new = v - g / gp
+            step_ok = lo <= v_new <= hi
+        if not step_ok:
+            v_new = 0.5 * (lo + hi)
+        if abs(v_new - v) <= TOL:
+            return v_new
+        v = v_new
+    raise stalled(z_abs)
+
+
+def prox_oracle(z, x_prev, params):
+    """Single-valued thresholding of z, with x_prev breaking the tie at tau:
+    what prox.prox_scalar returns, bit for bit."""
+    z_abs = abs(z)
+    if z_abs < params.tau:
+        return 0.0
+    if z_abs > params.tau:
+        return math.copysign(solve_inverse(z_abs, params), z)
+    if x_prev != 0.0:
+        return math.copysign(params.eta, z)
+    return 0.0
+
+
+def prox_vector_oracle(z, x_prev, params):
+    """prox_oracle componentwise, as a float64 array of z's shape."""
+    z = np.asarray(z, dtype=np.float64)
+    return np.array([prox_oracle(zi, xi, params) for zi, xi in
+                     zip(z.ravel().tolist(), np.ravel(x_prev).tolist())],
+                    dtype=np.float64).reshape(z.shape)
+
+
+def coordinate_step(A, x, r, mu, params, i):
+    """Update coordinate i (0-based) in place on x and r; returns the change.
+
+    The forward step, the threshold and the rank-1 residual update; x[i]
+    is assigned only when it changes.
+    """
+    xi = prox_oracle(x[i] - mu * np.dot(A[:, i], r), x[i], params)
+    d = xi - x[i]
+    if d != 0.0:
+        r += d * A[:, i]
+        x[i] = xi
+    return d
+
+
+def gaita_update(state, p, config):
+    """One cyclic coordinate update; returns the successor state.  Criterion
+    3 and the tests replay single updates with it."""
+    x, r = state.x.copy(), state.residual.copy()
+    coordinate_step(p.A, x, r, config.mu, ProxParams(c=p.lam * config.mu, q=p.q),
+                    state.n % p.n)
+    return solvers.SolverState(x=x, n=state.n + 1, residual=r,
+                               objective=objective_from_residual(p, x, r))
+
+
+def sweep_oracle(A, x, r, mu, params):
+    """Bind the cyclic sweep to x and r, as solvers._sweep does: returns a
+    function of no arguments that runs one sweep in place on them and
+    returns the largest change.
+
+    It computes every coordinate: skipping one that screening proves stays
+    zero, as the kernel does, gives the same bits.  Floating-point warnings
+    are silenced, as in C: a non-finite forward step ends in the same
+    ConvergenceFailure.
+    """
+    def sweep():
+        max_step = 0.0
+        with np.errstate(over="ignore", invalid="ignore"):
+            for i in range(A.shape[1]):
+                d = abs(coordinate_step(A, x, r, mu, params, i))
+                if d > max_step:
+                    max_step = d
+        return max_step
+
+    return sweep
+
+
+# (problem, mu, algorithm, x before the step) -> (step metric, x after it).
+# With r = A x - y refreshed before every step, the oracle step is a
+# function of x alone; the tests run one problem under several record and
+# stop settings, and each oracle sweep takes milliseconds in Python.
+_ORACLE_STEPS = {}
+
+
 def plain_run(p, x0, config, algorithm):
-    """The solvers' run loop with nothing skipped: every sweep runs the
-    kernel (gaita: the C sweep bound with ``screen=False``, so every
-    column's dot product is computed, or the Python sweep where the C
-    kernel is not in use; jaita: one thresholded gradient step), then
-    r = A x - y, the objective and the RMSE.  Returns (x, r, objective,
-    trace) for bit-for-bit comparison with gaita_run / jaita_run."""
+    """The solvers' run loop with nothing skipped, on the oracles: every
+    sweep runs the oracle step (gaita: sweep_oracle, which computes every
+    coordinate; jaita: one thresholded gradient step through
+    prox_vector_oracle), then r = A x - y, the objective and the RMSE.
+    Returns (x, r, objective, trace) for bit-for-bit comparison with
+    gaita_run / jaita_run."""
     params = ProxParams(c=p.lam * config.mu, q=p.q)
     x = np.array(x0, dtype=np.float64)
     r = p.A @ x - p.y
@@ -131,18 +282,23 @@ def plain_run(p, x0, config, algorithm):
         trace.flags["diverged"] = True
         return x, r, obj, trace
 
-    def jacobi_step():
-        x_new = prox_vector(x - config.mu * (p.A.T @ r), x, params)
-        norm = float(np.linalg.norm(x_new - x))
-        x[:] = x_new
-        return norm
+    key = (hashlib.sha256(p.A.tobytes() + p.y.tobytes()).digest(), p.lam, p.q,
+           config.mu, algorithm)
 
-    if algorithm == "jaita":
-        step_once = jacobi_step
-    elif solvers._sweep is solvers._sweep_c:
-        step_once = solvers._sweep_c(p.A, x, r, config.mu, params, screen=False)
-    else:
-        step_once = solvers._sweep_python(p.A, x, r, config.mu, params)
+    def step_once():
+        k = key + (x.tobytes(),)
+        if k not in _ORACLE_STEPS:
+            if algorithm == "gaita":
+                x_new = x.copy()
+                step = sweep_oracle(p.A, x_new, r.copy(), config.mu, params)()
+            else:
+                x_new = prox_vector_oracle(x - config.mu * (p.A.T @ r), x, params)
+                step = float(np.linalg.norm(x_new - x))
+            _ORACLE_STEPS[k] = step, x_new
+        step, x_new = _ORACLE_STEPS[k]
+        x[:] = x_new
+        return step
+
     x_rec = x.copy()
     sweep = 0
     for sweep in range(1, config.max_sweeps + 1):
@@ -174,6 +330,26 @@ def read_trace_csv(path):
     with open(path, newline="") as fh:
         header, *rows = csv.reader(fh)
     return tuple(header), [[float(v) for v in row] for row in rows]
+
+
+def loadtxt_read_array(path):
+    """cli.read_array with every body parsed by np.loadtxt: the same header
+    handling and messages, without the kernel's parser."""
+    data = Path(path).read_bytes()
+    if re.search(rb"\S", data) is None:
+        raise LqsolveError(f"{path}: the file is empty")
+    fh = io.BytesIO(data)
+    try:
+        rows, cols = (int(t) for t in fh.readline().split(b","))
+        if re.search(rb"\S", data[fh.tell():]) is None:
+            raise LqsolveError(f"{path}: header says {rows}x{cols}, "
+                               "but no data rows follow")
+        a = np.loadtxt(fh, delimiter=",", ndmin=2)
+    except ValueError as exc:
+        raise LqsolveError(f"{path}: {exc}") from None
+    if a.shape != (rows, cols):
+        raise LqsolveError(f"{path}: header says {rows}x{cols}, data is {a.shape}")
+    return a
 
 
 def small_problem(seed=0, m=20, n=40, k=4, lam=0.01, q=0.5, snr_db=None):

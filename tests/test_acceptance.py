@@ -16,10 +16,10 @@ from lqsolve.diagnostics import (certify_local_min, check_relative_error,
 from lqsolve.harness import (MU_GRID, Q_GRID, InstanceSpec, generate_instance,
                              rmse, run_experiment)
 from lqsolve.prox import ProxParams, prox_scalar, prox_vector
-from lqsolve.solvers import SolverConfig, SolverState, gaita_run, gaita_update
+from lqsolve.solvers import SolverConfig, SolverState, gaita_run
 
 import conftest
-from conftest import bisect_root
+from conftest import bisect_root, gaita_update
 
 
 def report(num, name, ok, detail=""):

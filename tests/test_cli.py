@@ -15,7 +15,7 @@ import pytest
 from lqsolve import _csweep, cli, harness, solvers
 from lqsolve.errors import LqsolveError
 
-from conftest import read_trace_csv
+from conftest import loadtxt_read_array, read_trace_csv
 
 
 def run_cli(*argv):
@@ -79,22 +79,21 @@ class TestArrayIO:
                   "2,2\n1.0,2.0\n\n3.0,4.0\n", "1,2\n 1.0,2.0\n", "1,1\n0x1p3\n",
                   "1,1\ninf\n", "1,1\n1_0\n", "2,1\n-0.0\n1e-400", "1,2\n1.0,\n")
 
-    @pytest.mark.parametrize("text", ODD_BODIES)
-    def test_kernel_and_loadtxt_read_alike(self, text, tmp_path, monkeypatch):
+    # the ODD_BODIES, and one body in write_array's exact form
+    @pytest.mark.parametrize("text", ODD_BODIES + ("2,2\n1.5,-2e-07\n3.0,0.1\n",))
+    def test_kernel_and_loadtxt_read_alike(self, text, tmp_path):
         # the kernel parses only write_array's exact form and leaves any
-        # other file to np.loadtxt, so each file ends the same either way
+        # other file to np.loadtxt, so each file ends as np.loadtxt ends it
         path = tmp_path / "a.csv"
         path.write_bytes(text.encode())
 
-        def outcome():
+        def outcome(read):
             try:
-                return cli.read_array(path).tobytes()
+                return read(path).tobytes()
             except Exception as exc:
                 return type(exc), str(exc)
 
-        with_kernel = outcome()
-        monkeypatch.setattr(_csweep, "lq_parse", None)
-        assert with_kernel == outcome()
+        assert outcome(cli.read_array) == outcome(loadtxt_read_array)
 
 
 def _lq_parse_column(tokens):
@@ -119,7 +118,6 @@ def _midpoint_decimals(rng, count):
     return tokens
 
 
-@pytest.mark.skipif(_csweep.lq_parse is None, reason="C kernel not loaded")
 def test_lq_parse_matches_float_bit_for_bit():
     rng = np.random.default_rng(3)
     patterns = rng.integers(0, 2**64, 60_000, dtype=np.uint64, endpoint=False)
@@ -139,7 +137,6 @@ def test_lq_parse_matches_float_bit_for_bit():
     assert [tokens[i] for i in wrong[:5]] == []
 
 
-@pytest.mark.skipif(_csweep.lq_parse is None, reason="C kernel not loaded")
 def test_read_array_ignores_a_decimal_comma_locale(tmp_path, rng):
     # strtod reads LC_NUMERIC's decimal point, np.loadtxt does not; under a
     # locale whose point is not "." the file must read to the same bits
@@ -339,28 +336,6 @@ class TestSolve:
             outs.append(out)
         for fname in ("trace.csv", "summary.json", "solution.csv"):
             assert (outs[0] / fname).read_bytes() == (outs[1] / fname).read_bytes()
-
-
-    def test_status_line_names_sweep_backend(self, tmp_path, instance_dir,
-                                             capsys, monkeypatch):
-        # the backend goes to the status line only; the files stay the same,
-        # for gaita's sweep and for jaita's prox
-        for backend in ("active", "python"):
-            if backend == "python":
-                monkeypatch.setattr(solvers, "_sweep", solvers._sweep_python)
-                monkeypatch.setattr(_csweep, "lq_prox", None)
-            for alg in ("gaita", "jaita"):
-                code = run_cli("solve", "--instance-dir", str(instance_dir),
-                               "--algorithm", alg, "--lam", "0.001",
-                               "--out-dir", str(tmp_path / f"{alg}-{backend}"))
-                assert code == 0
-                status = capsys.readouterr().out
-                if alg == "gaita":
-                    assert f"(sweep: {solvers.sweep_backend()});" in status
-        for alg in ("gaita", "jaita"):
-            for fname in ("trace.csv", "summary.json", "solution.csv"):
-                assert (tmp_path / f"{alg}-active" / fname).read_bytes() == \
-                    (tmp_path / f"{alg}-python" / fname).read_bytes()
 
 
 class TestExitCodes:
@@ -671,11 +646,12 @@ def test_what_perfbench_reads_from_outside(tmp_path, instance_dir, monkeypatch):
     # perfbench records the sweep backend as solvers._sweep.__name__, and
     # counts solves by replacing gaita_run / jaita_run on solvers and
     # harness, so cli.cmd_solve and harness._solve must look them up there
-    # each time they run
-    for sweep in (solvers._sweep, solvers._sweep_python):
-        monkeypatch.setattr(solvers, "_sweep", sweep)
-        assert sweep.__name__ in ("_sweep_c", "_sweep_python")
-        assert (sweep.__name__ == "_sweep_c") == (solvers.sweep_backend() == "c")
+    # each time they run; gaita_run looks up solvers._sweep the same way
+    sweep = solvers._sweep
+    assert sweep.__name__ == "_sweep"
+    bound = []
+    monkeypatch.setattr(solvers, "_sweep",
+                        lambda *args: bound.append(args) or sweep(*args))
     calls = []
     for module in (solvers, harness):
         for name in ("gaita_run", "jaita_run"):
@@ -686,7 +662,7 @@ def test_what_perfbench_reads_from_outside(tmp_path, instance_dir, monkeypatch):
             monkeypatch.setattr(module, name, counted)
     assert run_cli("solve", "--instance-dir", str(instance_dir),
                    "--out-dir", str(tmp_path / "run"), "--quiet") == 0
-    assert calls == ["lqsolve.solvers.gaita_run"]
+    assert calls == ["lqsolve.solvers.gaita_run"] and len(bound) == 1
     assert run_cli("compare", "--preset", "fig1", *TestCompareAndSweep.DESK,
                    "--out-dir", str(tmp_path / "fig1"), "--quiet") == 0
     assert calls[1:] == ["lqsolve.harness.gaita_run", "lqsolve.harness.jaita_run"] * 2

@@ -7,10 +7,10 @@ from lqsolve.core import ProblemInstance, l_max
 from lqsolve.diagnostics import (certify_local_min, check_relative_error,
                                  check_stationary, check_update_optimality)
 from lqsolve.errors import InvalidInstance, NotStationary
-from lqsolve.prox import ProxParams, prox_vector
-from lqsolve.solvers import SolverConfig, SolverState, gaita_run, gaita_update
+from lqsolve.prox import ProxParams
+from lqsolve.solvers import SolverConfig, SolverState, gaita_run
 
-from conftest import bisect_root, small_problem
+from conftest import bisect_root, gaita_update, prox_vector_oracle, small_problem
 
 
 def unit_fixed_point():
@@ -24,7 +24,7 @@ def thresholded_gradient_map(p, x, mu):
     points.  Used as an independent oracle for check_stationary."""
     params = ProxParams(c=p.lam * mu, q=p.q)
     z = x - mu * (p.A.T @ (p.A @ x - p.y))
-    return prox_vector(z, x, params)
+    return prox_vector_oracle(z, x, params)
 
 
 class TestCheckStationary:

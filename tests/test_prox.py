@@ -5,14 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lqsolve import _csweep
 from lqsolve.core import spectral_norm_sq
 from lqsolve.errors import DimensionMismatch, InvalidInstance
 from lqsolve.harness import InstanceSpec, generate_instance
-from lqsolve.prox import ProxParams, prox_scalar, prox_vector, solve_inverse
+from lqsolve.prox import ProxParams, prox_scalar, prox_vector
 
 from conftest import (bisect_root, grid_prox_oracle, half_threshold_oracle,
-                      prox_objective, two_thirds_threshold_oracle)
+                      prox_objective, prox_oracle, prox_vector_oracle,
+                      solve_inverse, two_thirds_threshold_oracle)
 
 qs = st.floats(0.05, 0.95)
 cs = st.floats(0.01, 10.0)
@@ -59,6 +59,8 @@ class TestThresholds:
 
 
 class TestSolveInverse:
+    """The oracle root-finder in conftest.py, against independent checks."""
+
     def test_boundary_maps_to_eta(self):
         params = ProxParams(c=1.0, q=0.5)
         assert solve_inverse(params.tau, params) == pytest.approx(
@@ -149,8 +151,7 @@ class TestProxVector:
         z = rng.uniform(-5, 5, size=50)
         x_prev = rng.uniform(-1, 1, size=50)
         out = prox_vector(z, x_prev, params)
-        expected = [prox_scalar(zi, xi, params) for zi, xi in zip(z, x_prev)]
-        assert np.array_equal(out, expected)
+        assert np.array_equal(out, prox_vector_oracle(z, x_prev, params))
         assert out.shape == z.shape
 
     def test_all_below_threshold(self):
@@ -176,23 +177,13 @@ class TestProxVector:
         assert np.all(np.abs(nz) >= params.eta - 1e-9)
 
 
-@pytest.fixture(params=["c", "python"])
-def backend(request, monkeypatch):
-    """prox_vector on the C kernel's lq_prox, or on its prox_scalar loop."""
-    if request.param == "c" and _csweep.lq_prox is None:
-        pytest.skip(f"no C kernel: {_csweep.fallback_reason}")
-    if request.param == "python":
-        monkeypatch.setattr(_csweep, "lq_prox", None)
-    return request.param
-
-
 @pytest.fixture(scope="module")
 def paper_instance():
     return generate_instance(InstanceSpec(250, 500, 15, seed=0))
 
 
 @pytest.mark.parametrize("q", [0.5, 2.0 / 3.0])
-def test_vector_is_scalar_on_jaita_steps(q, paper_instance, backend):
+def test_vector_is_scalar_on_jaita_steps(q, paper_instance):
     # jaita's forward steps on the paper instance at its default step size
     p = paper_instance.problem(0.001, q)
     mu = 0.99 / spectral_norm_sq(p.A)
@@ -201,51 +192,50 @@ def test_vector_is_scalar_on_jaita_steps(q, paper_instance, backend):
     for step in range(25):
         z = x - mu * (p.A.T @ (p.A @ x - p.y))
         out = prox_vector(z, x, params)
-        expected = [prox_scalar(zi, xi, params) for zi, xi in zip(z, x)]
-        assert np.array_equal(out, expected), step
+        assert np.array_equal(out, prox_vector_oracle(z, x, params)), step
         x = out
     assert np.count_nonzero(x) > 0
 
 
 @pytest.mark.parametrize("shape", [(), (3, 4), (0,)])
-def test_vector_keeps_any_shape(shape, backend):
+def test_vector_keeps_any_shape(shape):
     params = ProxParams(c=0.4, q=0.6)
     z = np.linspace(-3.0, 3.0, int(np.prod(shape))).reshape(shape)
     out = prox_vector(z.tolist(), np.zeros(shape).tolist(), params)
     assert out.shape == shape and out.dtype == np.float64
-    assert np.array_equal(out.ravel(), [prox_scalar(zi, 0.0, params)
-                                        for zi in z.ravel()])
+    assert np.array_equal(out, prox_vector_oracle(z, np.zeros(shape), params))
 
 
-def test_vector_takes_strided_input(backend):
+def test_vector_takes_strided_input():
     params = ProxParams(c=0.4, q=0.6)
     z = np.linspace(-3.0, 3.0, 40)
     assert np.array_equal(prox_vector(z[::2], np.zeros(40)[::2], params),
                           prox_vector(z[::2].copy(), np.zeros(20), params))
 
 
-def test_matches_half_threshold_closed_form(rng, backend):
-    # q = 1/2 only, where the prox has a closed form sharing no code with it
+def test_matches_half_threshold_closed_form(rng):
+    # q = 1/2 only, where the prox has a closed form sharing no code with
+    # the kernel or the oracle
     for _ in range(2000):
         params = ProxParams(c=10.0 ** rng.uniform(-4.0, 1.0), q=0.5)
         z = rng.choice([-1.0, 1.0]) * params.tau * (1.0 + rng.uniform(1e-6, 20.0))
         expected = half_threshold_oracle(z, params.c)
         assert prox_scalar(z, 0.0, params) == pytest.approx(expected, rel=1e-10)
-        assert prox_vector([z], [0.0], params)[0] == pytest.approx(expected, rel=1e-10)
+        assert prox_oracle(z, 0.0, params) == pytest.approx(expected, rel=1e-10)
 
 
-def test_matches_two_thirds_oracle(rng, backend):
+def test_matches_two_thirds_oracle(rng):
     # q = 2/3 only, against bisection on the quartic in s = v^(1/3)
     for _ in range(2000):
         params = ProxParams(c=10.0 ** rng.uniform(-4.0, 1.0), q=2.0 / 3.0)
         z = rng.choice([-1.0, 1.0]) * params.tau * (1.0 + rng.uniform(1e-6, 20.0))
         expected = two_thirds_threshold_oracle(z, params.c)
         assert prox_scalar(z, 0.0, params) == pytest.approx(expected, rel=1e-10)
-        assert prox_vector([z], [0.0], params)[0] == pytest.approx(expected, rel=1e-10)
+        assert prox_oracle(z, 0.0, params) == pytest.approx(expected, rel=1e-10)
 
 
 @pytest.mark.parametrize("q", [0.5, 2.0 / 3.0])
-def test_closed_form_at_the_jump(q, backend):
+def test_closed_form_at_the_jump(q):
     # from |z| = tau to tau * (1 + 1e-12), where rounding could push the
     # closed form out of its domain or below eta, the root stays in [eta, |z|]
     for c in (1e-6, 1e-3, 0.5, 7.0):
@@ -265,8 +255,6 @@ def test_closed_form_at_the_jump(q, backend):
 def test_kernel_prox_is_python_prox_bit_for_bit(q, rng):
     # closed forms at q = 1/2 and 2/3, Newton at 0.9, over many decades of c
     # and |z| / tau, both signs and every tie-break value of x_prev
-    if _csweep.lq_prox is None:
-        pytest.skip(f"no C kernel: {_csweep.fallback_reason}")
     for _ in range(50):
         params = ProxParams(c=10.0 ** rng.uniform(-8.0, 2.0), q=q)
         z = (rng.choice([-1.0, 1.0], 200) * params.tau
@@ -274,5 +262,4 @@ def test_kernel_prox_is_python_prox_bit_for_bit(q, rng):
         z[:3] = params.tau, -params.tau, 0.5 * params.tau
         x_prev = rng.choice([0.0, 1.0, -2.0], 200)
         out = prox_vector(z, x_prev, params)
-        expected = [prox_scalar(zi, xi, params) for zi, xi in zip(z, x_prev)]
-        assert out.tobytes() == np.array(expected).tobytes(), params
+        assert out.tobytes() == prox_vector_oracle(z, x_prev, params).tobytes(), params

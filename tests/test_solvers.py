@@ -1,8 +1,11 @@
 import contextlib
 import ctypes
+import os
 import shutil
 import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,9 +16,10 @@ from lqsolve.errors import ConvergenceFailure, DimensionMismatch, InvalidInstanc
 from lqsolve.harness import InstanceSpec, generate_instance
 from lqsolve.prox import ProxParams, prox_vector
 from lqsolve.solvers import (IterationTrace, SolverConfig, SolverState,
-                             _sweep_python, gaita_run, gaita_update, jaita_run)
+                             gaita_run, jaita_run)
 
-from conftest import bisect_root, plain_run, read_trace_csv, small_problem
+from conftest import (bisect_root, gaita_update, plain_run, read_trace_csv,
+                      small_problem, sweep_oracle)
 
 
 class TestGaitaUpdate:
@@ -118,34 +122,22 @@ class TestGaitaRun:
     ]
 
     def test_kernel_matches_pure_python(self):
-        if solvers._sweep is _sweep_python:
-            pytest.skip(f"no compiled sweep: {solvers.sweep_backend()}")
         for q, factor, sweeps, spec in self.KERNEL_CASES:
             p, _ = small_problem(q=q, **spec)
-            mu = factor / l_max(p.A)
-            params = ProxParams(c=p.lam * mu, q=p.q)
             for screen in (False, True):
-                x, xp = np.zeros(p.n), np.zeros(p.n)
-                r, rp = p.A @ x - p.y, p.A @ xp - p.y
-                sweep_c = solvers._sweep_c(p.A, x, r, mu, params, screen=screen)
-                sweep_py = _sweep_python(p.A, xp, rp, mu, params)
-                for sweep in range(sweeps):
-                    assert sweep_c() == sweep_py(), (q, screen, sweep)
-                    assert x.tobytes() == xp.tobytes(), (q, sweep)
-                    assert r.tobytes() == rp.tobytes(), (q, sweep)
-                    r[:] = p.A @ x - p.y
-                    rp[:] = p.A @ xp - p.y
+                x = np.zeros(p.n)
+                assert_sweeps_match(p, x, p.A @ x - p.y, factor / l_max(p.A),
+                                    screen, sweeps)
 
     def test_run_is_the_same_on_both_backends(self, monkeypatch):
-        if solvers._sweep is _sweep_python:
-            pytest.skip(f"no compiled sweep: {solvers.sweep_backend()}")
+        # gaita_run on the kernel's sweep and on the oracle sweep
         for q, factor, sweeps, spec in self.KERNEL_CASES:
             p, inst = small_problem(q=q, **spec)
             config = SolverConfig(mu=factor / l_max(p.A), max_sweeps=sweeps,
                                   stop="cap",
                                   reference=inst.x_true)
             runs = []
-            for kernel in (solvers._sweep_c, _sweep_python):
+            for kernel in (solvers._sweep, sweep_oracle):
                 monkeypatch.setattr(solvers, "_sweep", kernel)
                 runs.append(gaita_run(p, np.zeros(p.n), config))
             (s_c, t_c), (s_py, t_py) = runs
@@ -200,20 +192,10 @@ class TestGaitaRun:
         assert np.all(interior % 25 == 0)
 
 
-def _kernel(name):
-    if name == "c" and solvers._sweep is not solvers._sweep_c:
-        pytest.skip(f"no compiled sweep: {solvers.sweep_backend()}")
-    return {"python": _sweep_python, "c": solvers._sweep_c}[name]
-
-
-@pytest.mark.parametrize("name", ["python", "c"])
-def test_stalled_prox_raises(name, monkeypatch):
+def test_stalled_prox_raises():
     # an overflowing forward step leaves the root-finder nothing to converge
     # on, in gaita's sweep and in jaita's vector prox alike, whether the
     # root has a closed form (q = 1/2, 2/3) or is found by Newton (q = 0.9)
-    sweep = _kernel(name)
-    if name == "python":
-        monkeypatch.setattr(_csweep, "lq_prox", None)
     A = np.full((4, 3), 0.5, order="F")
     stalled = r"^prox root-finder stalled at z_abs=inf$"
     with warnings.catch_warnings(record=True) as caught:
@@ -222,22 +204,20 @@ def test_stalled_prox_raises(name, monkeypatch):
             params = ProxParams(c=0.01, q=q)
             for big in (1e308, -1e308):  # z = -inf, then z = +inf
                 x, r = np.zeros(3), np.full(4, big)
-                step = sweep(A, x, r, 1.0, params)
+                step = solvers._sweep(A, x, r, 1.0, params)
                 with pytest.raises(ConvergenceFailure, match=stalled):
                     step()
                 assert np.array_equal(x, np.zeros(3))
                 with pytest.raises(ConvergenceFailure, match=stalled):
                     prox_vector(np.array([0.5, -np.sign(big) * np.inf]),
                                 np.zeros(2), params)
-    assert [str(w.message) for w in caught] == []  # silent on both backends
+    assert [str(w.message) for w in caught] == []
 
 
-@pytest.mark.parametrize("name", ["python", "c"])
-def test_stalled_prox_raises_from_a_run(name, monkeypatch):
+def test_stalled_prox_raises_from_a_run():
     # the same failure through gaita_run, which binds the sweep once per
     # run: from a finite initial objective (2e300), mu = 1e300 makes every
     # forward step overflow to -inf
-    monkeypatch.setattr(solvers, "_sweep", _kernel(name))
     stalled = r"^prox root-finder stalled at z_abs=inf$"
     for q in (0.5, 2.0 / 3.0, 0.9):
         p = ProblemInstance(A=np.full((4, 3), 0.5), y=np.full(4, -1e150),
@@ -246,29 +226,32 @@ def test_stalled_prox_raises_from_a_run(name, monkeypatch):
             gaita_run(p, np.zeros(3), SolverConfig(mu=1e300))
 
 
+def assert_sweeps_match(p, x, r, mu, screen, sweeps):
+    """Sweep x and r = A x - y with the kernel, and copies of them with the
+    oracle, refreshing r after each sweep: every result has the same bits."""
+    params = ProxParams(c=p.lam * mu, q=p.q)
+    xp, rp = x.copy(), r.copy()
+    sweep_c = solvers._sweep(p.A, x, r, mu, params, screen=screen)
+    sweep_py = sweep_oracle(p.A, xp, rp, mu, params)
+    for k in range(sweeps):
+        assert sweep_c() == sweep_py(), (screen, k)
+        assert x.tobytes() == xp.tobytes() and r.tobytes() == rp.tobytes(), (screen, k)
+        r[:] = p.A @ x - p.y
+        rp[:] = p.A @ xp - p.y
+
+
 # residual lengths at and around the widths of the kernel's vector lanes
 # (2, 4 and 8 doubles), so that each remainder loop runs
 @pytest.mark.parametrize("m", [1, 2, 3, 5, 7, 8, 9, 15, 16, 17, 33])
 def test_kernel_matches_pure_python_at_every_lane_remainder(m):
-    sweep = _kernel("c")
     p, _ = small_problem(seed=m, m=m, n=2 * m + 3, k=1)
-    mu = 0.95 / l_max(p.A)
-    params = ProxParams(c=p.lam * mu, q=p.q)
     for screen in (False, True):
         # offset 1: x and r are views that start one double into a buffer
         for offset in (0, 1):
             x = np.zeros(p.n + offset)[offset:]
             r = np.zeros(p.m + offset)[offset:]
             r[:] = -p.y
-            xp, rp = np.zeros(p.n), -p.y
-            sweep_c = sweep(p.A, x, r, mu, params, screen=screen)
-            sweep_py = _sweep_python(p.A, xp, rp, mu, params)
-            for k in range(8):
-                assert sweep_c() == sweep_py(), (screen, offset, k)
-                assert x.tobytes() == xp.tobytes(), (screen, offset, k)
-                assert r.tobytes() == rp.tobytes(), (screen, offset, k)
-                r[:] = p.A @ x - p.y
-                rp[:] = p.A @ xp - p.y
+            assert_sweeps_match(p, x, r, 0.95 / l_max(p.A), screen, 8)
             assert np.any(x != 0.0)  # the residual update ran
 
 
@@ -277,7 +260,6 @@ def test_kernel_matches_pure_python_at_every_lane_remainder(m):
     ("read_only_x", InvalidInstance), ("short_r", DimensionMismatch),
     ("long_x", DimensionMismatch)])
 def test_c_kernel_rejects_bad_arrays(bad, error):
-    sweep = _kernel("c")
     A = np.asfortranarray(np.arange(12.0).reshape(4, 3))
     x, r = np.zeros(3), np.zeros(4)
     if bad == "c_ordered_A":
@@ -291,11 +273,10 @@ def test_c_kernel_rejects_bad_arrays(bad, error):
     else:
         x = np.zeros(4)
     with pytest.raises(error):  # at bind time, before any pointer is used
-        sweep(A, x, r, 0.1, ProxParams(c=0.01, q=0.5))
+        solvers._sweep(A, x, r, 0.1, ProxParams(c=0.01, q=0.5))
 
 
 def test_kernel_builds_into_an_empty_cache(tmp_path, monkeypatch):
-    _kernel("c")
     monkeypatch.setattr(_csweep, "CACHE", tmp_path)
     sweep, prox, parse, ddot = _csweep.load()
     assert sweep is not None and prox is not None and parse is not None and ddot
@@ -324,7 +305,6 @@ def test_kernel_flags_keep_ieee_rounding():
 @pytest.mark.parametrize("fault, reason", [
     ("no_gcc", "^gcc not found$"), ("bad_source", "^gcc failed: ")])
 def test_unbuildable_kernel_reports_why(fault, reason, tmp_path, monkeypatch):
-    _kernel("c")  # the build is reached only where the rest is in place
     cache = tmp_path / "cache"
     monkeypatch.setattr(_csweep, "CACHE", cache)
     if fault == "no_gcc":
@@ -336,6 +316,18 @@ def test_unbuildable_kernel_reports_why(fault, reason, tmp_path, monkeypatch):
     with pytest.raises(_csweep.Unavailable, match=reason):
         _csweep.load()
     assert not list(cache.glob("*"))  # no half-written build left behind
+
+
+def test_import_fails_without_the_kernel(tmp_path):
+    # a fresh copy of the package, with no cached build, on a PATH without
+    # gcc: the import stops and its last line says why
+    shutil.copytree(Path(_csweep.__file__).parent, tmp_path / "lqsolve",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    env = dict(os.environ, PATH=str(tmp_path), PYTHONPATH=str(tmp_path))
+    proc = subprocess.run([sys.executable, "-c", "import lqsolve"], cwd=tmp_path,
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode != 0
+    assert proc.stderr.strip().splitlines()[-1].endswith("gcc not found")
 
 
 def one_jaita_step(p, x0, mu):
@@ -424,8 +416,6 @@ _DDOT = ctypes.CFUNCTYPE(ctypes.c_double, ctypes.c_int64, ctypes.c_void_p,
 @contextlib.contextmanager
 def counting_ddot(monkeypatch):
     """Count the column dot products the C sweep computes inside the block."""
-    if solvers._sweep is _sweep_python:
-        pytest.skip(f"no compiled sweep: {solvers.sweep_backend()}")
     real = _DDOT(_csweep.ddot)
     calls = []
 
@@ -491,7 +481,7 @@ class TestScreening:
         params = ProxParams(c=p.lam * mu, q=p.q)
         x = np.zeros(p.n)
         r = p.A @ x - p.y
-        sweep = solvers._sweep_c(p.A, x, r, mu, params)
+        sweep = solvers._sweep(p.A, x, r, mu, params)
         for _ in range(150):
             sweep()
             r[:] = p.A @ x - p.y
@@ -499,7 +489,7 @@ class TestScreening:
         col = p.A[:, j]
         r += 2.0 * params.tau / mu * col / (col @ col)
         xp, rp = x.copy(), r.copy()
-        assert sweep() == _sweep_python(p.A, xp, rp, mu, params)()
+        assert sweep() == sweep_oracle(p.A, xp, rp, mu, params)()
         assert x.tobytes() == xp.tobytes() and r.tobytes() == rp.tobytes()
         assert x[j] != 0.0
 
@@ -510,7 +500,7 @@ class TestScreening:
         x = np.zeros(p.n)
         r = p.A @ x - p.y
         with counting_ddot(monkeypatch) as calls:
-            sweep = solvers._sweep_c(p.A, x, r, 0.5, params, screen=False)
+            sweep = solvers._sweep(p.A, x, r, 0.5, params, screen=False)
             for _ in range(3):
                 sweep()
         assert len(calls) == 3 * p.n
@@ -573,11 +563,9 @@ def test_unguardable_start_is_divergence(run, y):
     _assert_same_run(got, want)
 
 
-@pytest.mark.parametrize("name", ["python", "c"])
-def test_overflowing_start_warns_nothing(name, monkeypatch):
+def test_overflowing_start_warns_nothing():
     # the loop runs with numpy's overflow warnings off: an initial
     # objective of inf ends the run flagged at sweep 0, and that is all
-    monkeypatch.setattr(solvers, "_sweep", _kernel(name))
     p = ProblemInstance(A=np.full((2, 2), 0.5), y=np.full(2, -1e308), lam=0.01, q=0.5)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
