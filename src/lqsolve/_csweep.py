@@ -6,10 +6,11 @@ compiler flags, and written under a temporary name first so that
 concurrent first imports never load a half-written file.  Later imports
 only hash the source and load the cached file.  It is loaded once, here:
 ``lq_sweep`` (gaita's sweep), ``lq_prox`` (the prox behind
-``prox.prox_vector``), ``lq_parse`` (the array-file parser behind
-``cli.read_array``) and ``ddot`` hold the handles.  Where the kernel
-cannot be built or loaded, importing lqsolve raises Unavailable, whose
-message names the cause.
+``prox.prox_vector``) and ``lq_parse`` (the array-file parser behind
+``cli.read_array``) hold the handles.  The kernel calls no BLAS: gaita's
+sweep computes its own dot products, so it loads with any numpy build.
+Where the kernel cannot be built or loaded, importing lqsolve raises
+Unavailable, whose message names the cause.
 """
 
 import ctypes
@@ -17,32 +18,19 @@ import hashlib
 import os
 from pathlib import Path
 
-import numpy as np
-
 HERE = Path(__file__).resolve().parent
 SOURCE = HERE / "_sweep.c"
 CACHE = HERE / "__pycache__"
-# -O3 vectorizes the residual update (_sweep.c picks its lanes at load time);
-# -ffp-contract=off: a fused multiply-add would round differently from numpy.
+# -O3 vectorizes the dot product and the residual update (_sweep.c picks
+# their lanes at load time); -ffp-contract=off: a fused multiply-add would
+# round differently from numpy and from the tests' oracles.
 # No fast-math flag and no -march: the first would reorder sums, the second
 # would tie the cached build to the CPU that compiled it.
 FLAGS = ("-O3", "-std=c11", "-ffp-contract=off", "-fPIC", "-shared")
-# numpy's np.dot of two float64 vectors calls this ddot of its bundled OpenBLAS
-DDOT = "scipy_cblas_ddot64_"
 
 
 class Unavailable(ImportError):
     """The C kernel cannot be built or loaded here."""
-
-
-def _ddot_address():
-    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
-    paths = sorted(libs.glob("*openblas*")) if libs.is_dir() else []
-    for path in paths:
-        fn = getattr(ctypes.CDLL(str(path)), DDOT, None)
-        if fn is not None:
-            return ctypes.cast(fn, ctypes.c_void_p).value
-    raise Unavailable(f"numpy's BLAS has no {DDOT}")
 
 
 def _build(target):
@@ -75,13 +63,11 @@ def _build(target):
 
 
 def load():
-    """Return (lq_sweep, lq_prox, lq_parse, ddot address), building the
-    kernel if needed."""
+    """Return (lq_sweep, lq_prox, lq_parse), building the kernel if needed."""
     try:
         source = SOURCE.read_bytes()
     except OSError:
         raise Unavailable(f"{SOURCE.name} not found") from None
-    ddot = _ddot_address()
     key = hashlib.sha256(source + " ".join(FLAGS).encode()).hexdigest()[:16]
     target = CACHE / f"_sweep-{key}.so"
     if not target.exists():
@@ -92,15 +78,14 @@ def load():
         raise Unavailable(f"cannot load {target.name}: {exc}") from None
     sweep, prox, parse = lib.lq_sweep, lib.lq_prox, lib.lq_parse
     sweep.restype = prox.restype = ctypes.c_int64
-    sweep.argtypes = ([ctypes.c_void_p, ctypes.c_int64, ctypes.c_int64]
-                      + [ctypes.c_void_p] * 3 + [ctypes.c_double] * 6
-                      + [ctypes.c_void_p] * 2)
+    sweep.argtypes = ([ctypes.c_int64] * 2 + [ctypes.c_void_p] * 3
+                      + [ctypes.c_double] * 6 + [ctypes.c_void_p] * 2)
     prox.argtypes = ([ctypes.c_int64] + [ctypes.c_void_p] * 2
                      + [ctypes.c_double] * 5 + [ctypes.c_void_p])
     parse.restype = ctypes.c_int
     # a bytes argument passes its own buffer, not a copy
     parse.argtypes = [ctypes.c_char_p] + [ctypes.c_int64] * 4 + [ctypes.c_void_p]
-    return sweep, prox, parse, ddot
+    return sweep, prox, parse
 
 
-lq_sweep, lq_prox, lq_parse, ddot = load()
+lq_sweep, lq_prox, lq_parse = load()

@@ -3,17 +3,18 @@
  * lq_parse, which reads the body of an array file to the same bits as
  * np.loadtxt.
  *
- * The column dot product goes through the BLAS ddot numpy itself calls for
- * np.dot, passed in as a function pointer.  The prox root-finder works in
- * closed form at q = 1/2 and q = 2/3 and by Newton to prox.TOL at any
- * other q, operation for operation as the Python oracles in the tests'
- * conftest.py do, so the two give the same bits: sqrt rounds correctly
- * everywhere, and Python's math module calls the same libm cbrt, acos, cos
- * and pow.  The sweep's rank-1 residual update runs in AVX-512 or AVX2
- * lanes where the CPU has them, with the same bits: each lane multiplies
- * and adds once, rounding each, as numpy does.  Build without fast-math,
- * so that no sum is reordered, and with -ffp-contract=off: a fused
- * multiply-add changes the rounding.
+ * The sweep calls no BLAS: its column dot product and rank-1 residual
+ * update are here, so its bits depend on neither the BLAS library nor the
+ * CPU.  The prox root-finder works in closed form at q = 1/2 and q = 2/3
+ * and by Newton to prox.TOL at any other q, operation for operation as
+ * the Python oracles in the tests' conftest.py do, so the two give the
+ * same bits: sqrt rounds correctly everywhere, and Python's math module
+ * calls the same libm cbrt, acos, cos and pow.  The dot product and the
+ * residual update run in AVX-512 or AVX2 lanes where the CPU has them,
+ * with the same bits in every clone: each lane multiplies and adds once,
+ * rounding each, in an order fixed by the source.  Build without
+ * fast-math, so that no sum is reordered, and with -ffp-contract=off: a
+ * fused multiply-add changes the rounding.
  */
 #include <float.h>
 #include <locale.h>
@@ -21,9 +22,6 @@
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
-
-typedef double (*ddot_fn)(int64_t n, const double *x, int64_t incx,
-                          const double *y, int64_t incy);
 
 #define PI 3.141592653589793   /* Python's math.pi, the same double */
 
@@ -131,11 +129,6 @@ static int threshold(double z, double x_prev, double c, double q, double tau,
  * test and the dot product is computed. */
 #define MARGIN 0.999   /* the bound must stay below MARGIN * tau / mu */
 
-static double slack_for(int64_t m, int64_t n)
-{
-    return 1e-10 + (double)(2 * n + m) * DBL_EPSILON;
-}
-
 /* Carry each bound from the previous call's end to this call's start:
  * add the move within that call after a_i . r was taken, and the move
  * from r_end to r (the caller refreshes r between calls). */
@@ -157,17 +150,8 @@ static double screen_enter(int64_t m, int64_t n, const double *r, double *st,
     return r1 * (1.0 + slack);
 }
 
-static void screen_leave(int64_t m, int64_t n, const double *r, double *st,
-                         double moved)
-{
-    memcpy(st + 3 * n, r, (size_t)m * sizeof(double));
-    st[3 * n + m] = moved;
-}
-
-/* r += d * col, with the bits of numpy's r += d * A[:, i] in every clone
- * (see the top of this file).  The dynamic loader picks the widest clone
- * the CPU runs, through a glibc ifunc; any other compiler, target or C
- * library builds the plain loop. */
+/* The dynamic loader picks the widest clone the CPU runs, through a glibc
+ * ifunc; any other compiler, target or C library builds the plain loop. */
 #if defined(__x86_64__) && defined(__GLIBC__) && defined(__has_attribute)
 #if __has_attribute(target_clones)
 #define VECTOR_CLONES __attribute__((target_clones("avx512f", "avx2", "default")))
@@ -177,6 +161,29 @@ static void screen_leave(int64_t m, int64_t n, const double *r, double *st,
 #define VECTOR_CLONES
 #endif
 
+/* col . r in LANES accumulators: accumulator k adds the products
+ * col[j] * r[j] with j % LANES == k, in order of j, and the accumulators
+ * are then added pairwise, k + w into k, for w = LANES/2, ..., 2, 1.  The
+ * tests' conftest.py repeats this order in numpy. */
+#define LANES 32
+
+VECTOR_CLONES
+static double column_dot(int64_t m, const double *col, const double *r)
+{
+    double acc[LANES] = {0.0};
+    int64_t j = 0;
+    for (; j + LANES <= m; j += LANES)
+        for (int k = 0; k < LANES; k++)
+            acc[k] += col[j + k] * r[j + k];
+    for (int k = 0; j + k < m; k++)
+        acc[k] += col[j + k] * r[j + k];
+    for (int w = LANES / 2; w > 0; w /= 2)
+        for (int k = 0; k < w; k++)
+            acc[k] += acc[k + w];
+    return acc[0];
+}
+
+/* r += d * col, with the bits of numpy's r += d * A[:, i] in every clone. */
 VECTOR_CLONES
 static void residual_update(int64_t m, double d, const double *col, double *r)
 {
@@ -185,43 +192,37 @@ static void residual_update(int64_t m, double d, const double *col, double *r)
 }
 
 /* Sweep the n columns of the column-major m x n matrix a, updating x and
- * the residual r = a x - y in place.  out[0] receives the largest
- * single-coordinate change.  Returns -1, or the index of the coordinate
- * whose prox stalled, with its |z| in out[1]; the coordinates before it
- * are already updated, as in the oracle sweep.  screen is NULL, or the
- * screening state described above. */
-int64_t lq_sweep(ddot_fn ddot, int64_t m, int64_t n, const double *a,
-                 double *x, double *r, double mu, double c, double q,
-                 double tau, double eta, double tol, double *out,
-                 double *screen)
+ * the residual r = a x - y in place, with st the screening state
+ * described above.  out[0] receives the largest single-coordinate change
+ * and out[2] the number of columns that screening skipped.  Returns -1,
+ * or the index of the coordinate whose prox stalled, with its |z| in
+ * out[1]; the coordinates before it are already updated, as in the
+ * oracle sweep. */
+int64_t lq_sweep(int64_t m, int64_t n, const double *a, double *x, double *r,
+                 double mu, double c, double q, double tau, double eta,
+                 double tol, double *out, double *st)
 {
+    double *norm = st, *bound = st + n, *at = st + 2 * n;
     double max_step = 0.0;
     /* r moves by at most `moved` within this call; ||r|| <= r1 + moved */
-    double moved = 0.0, r1 = 0.0, lim = MARGIN * (tau / mu);
-    double dot_err = (double)(m + 2) * DBL_EPSILON;   /* > gamma_m */
-    double slack = slack_for(m, n);
-    double *norm = NULL, *bound = NULL, *at = NULL;
-    if (screen) {
-        norm = screen;
-        bound = screen + n;
-        at = screen + 2 * n;
-        r1 = screen_enter(m, n, r, screen, slack);
-    }
+    double moved = 0.0, lim = MARGIN * (tau / mu);
+    /* > gamma_m, which bounds the rounding of column_dot's sum */
+    double dot_err = (double)(m + 2) * DBL_EPSILON;
+    double slack = 1e-10 + (double)(2 * n + m) * DBL_EPSILON;
+    double r1 = screen_enter(m, n, r, st, slack);
+    int64_t skipped = 0;
     for (int64_t i = 0; i < n; i++) {
         const double *col = a + i * m;
-        double err = 0.0;
-        if (screen) {
-            err = dot_err * norm[i] * (r1 + moved);
-            if (x[i] == 0.0
-                && (bound[i] + norm[i] * moved) * (1.0 + slack) + err <= lim)
-                continue;
+        double err = dot_err * norm[i] * (r1 + moved);
+        if (x[i] == 0.0
+            && (bound[i] + norm[i] * moved) * (1.0 + slack) + err <= lim) {
+            skipped++;
+            continue;
         }
-        double dot = ddot(m, col, 1, r, 1);
-        double z = x[i] - mu * (0.0 + dot), xi;
-        if (screen) {
-            bound[i] = (fabs(dot) + err) * (1.0 + slack);
-            at[i] = moved;
-        }
+        double dot = column_dot(m, col, r);
+        double z = x[i] - mu * dot, xi;
+        bound[i] = (fabs(dot) + err) * (1.0 + slack);
+        at[i] = moved;
         if (!threshold(z, x[i], c, q, tau, eta, tol, &xi)) {
             out[0] = max_step;
             out[1] = fabs(z);
@@ -234,14 +235,14 @@ int64_t lq_sweep(ddot_fn ddot, int64_t m, int64_t n, const double *a,
             if (fabs(d) > max_step)
                 max_step = fabs(d);
             /* r += d a_i moves r by |d| ||a_i||, plus a rounding per entry */
-            if (screen)
-                moved += (fabs(d) * norm[i] + DBL_EPSILON * (r1 + moved))
-                         * (1.0 + slack);
+            moved += (fabs(d) * norm[i] + DBL_EPSILON * (r1 + moved))
+                     * (1.0 + slack);
         }
     }
-    if (screen)
-        screen_leave(m, n, r, screen, moved);
+    memcpy(st + 3 * n, r, (size_t)m * sizeof(double));   /* r_end, moved */
+    st[3 * n + m] = moved;
     out[0] = max_step;
+    out[2] = (double)skipped;
     return -1;
 }
 

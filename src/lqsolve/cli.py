@@ -32,7 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from . import _csweep, diagnostics, harness, solvers
-from .core import format_float
+from .core import format_float, write_rows
 from .errors import CorruptFile, LqsolveError
 from .prox import ProxParams, prox_scalar
 
@@ -43,21 +43,13 @@ EXIT_NOT_STATIONARY = 4
 
 
 # ---------------------------------------------------------------------------
-# text tables: a header line, then one comma-joined line per row of strings
-
-def _write_rows(path, header, rows):
-    with open(path, "w") as fh:
-        fh.write(header + "\n")
-        fh.writelines(",".join(row) + "\n" for row in rows)
-
-
 # array file format: first line "rows,cols", then one CSV row per matrix row
 
 def write_array(path, a):
     a = np.atleast_2d(np.asarray(a, dtype=np.float64))
     # repr of a Python float is format_float, without a call per cell; one
     # row of Python floats at a time
-    _write_rows(path, f"{a.shape[0]},{a.shape[1]}", (map(repr, row.tolist()) for row in a))
+    write_rows(path, f"{a.shape[0]},{a.shape[1]}", (map(repr, row.tolist()) for row in a))
 
 
 _NON_BLANK = re.compile(rb"\S")
@@ -213,7 +205,7 @@ PROBLEM_DEFAULTS = {"lam": 0.001, "q": 0.5}
 def cmd_solve(args):
     inst = _instance_from(args)
     p = inst.problem(args.lam, args.q)
-    mu = args.mu if args.mu is not None else solvers.default_mu(args.algorithm, inst.A)
+    mu = args.mu if args.mu is not None else solvers.default_mu(args.algorithm, p.A)
     sconf = solvers.SolverConfig(
         mu=mu, max_sweeps=args.max_sweeps, stop=args.stop, tol=args.tol,
         record_every=args.record_every,
@@ -262,7 +254,7 @@ def _run_preset(args, preset):
 def _ragged_csv(path, columns):
     """Write {name: list} as aligned columns keyed by row index (sweep)."""
     length = max(len(v) for v in columns.values())
-    _write_rows(path, "sweep," + ",".join(columns), (
+    write_rows(path, "sweep," + ",".join(columns), (
         [str(s)] + [format_float(v[s]) if s < len(v) else "" for v in columns.values()]
         for s in range(length)))
 
@@ -271,7 +263,7 @@ def cmd_compare(args):
     result, out_dir = _run_preset(args, args.preset)
     csv_path = out_dir / f"{args.preset}_traces.csv"
     if args.preset == "fig4":
-        _write_rows(csv_path, "mu,algorithm,converged,diverged,sweeps", (
+        write_rows(csv_path, "mu,algorithm,converged,diverged,sweeps", (
             [format_float(run.mu), run.algorithm, str(run.converged),
              str(run.diverged), str(run.sweeps)] for run in result.runs))
     else:
@@ -289,7 +281,7 @@ def cmd_compare(args):
 
 def cmd_sweep(args):
     result, out_dir = _run_preset(args, "mu_sweep")
-    _write_rows(out_dir / "mu_sweep_cells.csv", "q,mu,sweeps,converged,final_rmse", (
+    write_rows(out_dir / "mu_sweep_cells.csv", "q,mu,sweeps,converged,final_rmse", (
         [format_float(run.q), format_float(run.mu), str(run.sweeps),
          str(run.converged), format_float(run.final_rmse)] for run in result.runs))
     if not args.quiet:
@@ -302,16 +294,18 @@ def cmd_sweep(args):
 def cmd_prox_eval(args):
     params = ProxParams(c=args.lambda_mu, q=args.q)
     tau, eta = params.tau, params.eta
-    print(f"q={args.q:g} c={args.lambda_mu:g} tau={tau!r} eta={eta!r}")
-    print("z,prox")
+    rows = []  # all of them before any is printed: a stalled z prints no table
     for z in args.z:
         if abs(z) == tau:
             nonzero = prox_scalar(z, 1.0, params)
             zero = prox_scalar(z, 0.0, params)
-            print(f"{format_float(z)},{format_float(nonzero)} (x_prev!=0) / "
-                  f"{format_float(zero)} (x_prev=0)")
+            rows.append(f"{format_float(z)},{format_float(nonzero)} (x_prev!=0) / "
+                        f"{format_float(zero)} (x_prev=0)")
         else:
-            print(f"{format_float(z)},{format_float(prox_scalar(z, 0.0, params))}")
+            rows.append(f"{format_float(z)},{format_float(prox_scalar(z, 0.0, params))}")
+    print(f"q={args.q:g} c={args.lambda_mu:g} tau={tau!r} eta={eta!r}")
+    print("z,prox")
+    print("\n".join(rows))
     return EXIT_OK
 
 
@@ -331,8 +325,9 @@ def _certify_problem(cfg, solution, inst):
             source = "option"
         elif name in solved:
             cfg[name], source = float(solved[name]), "summary.json"
-        elif name == "mu":
-            cfg[name], source = solvers.default_mu("gaita", inst.A), "default 0.95/L_max"
+        elif name == "mu":  # from the Fortran-ordered A the solver reads
+            A = inst.problem(cfg["lam"], cfg["q"]).A
+            cfg[name], source = solvers.default_mu("gaita", A), "default 0.95/L_max"
         else:
             cfg[name] = PROBLEM_DEFAULTS[name]
             source = f"default {cfg[name]:g}"
@@ -369,6 +364,12 @@ def cmd_certify(args):
 # parser
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # a number in any notation float() reads (-1e3, -2.5E-1, -inf) is a
+        # value, not an option; argparse alone takes only -1 and -1.5
+        self._negative_number_matcher = re.compile(r"-\.?\d|-(inf|nan)", re.IGNORECASE)
+
     def error(self, message):
         # one line, and exit 2 through main, for a bad flag or config value alike
         raise LqsolveError(f"{self.prog}: {message}")

@@ -42,6 +42,13 @@ def format_float(x):
     return repr(float(x))
 
 
+def write_rows(path, header, rows):
+    """Write a header line, then each row's strings joined by commas."""
+    with open(path, "w") as fh:
+        fh.write(header + "\n")
+        fh.writelines(",".join(row) + "\n" for row in rows)
+
+
 @dataclass(frozen=True)
 class ProblemInstance:
     """One regularized least-squares datum: matrix A (m x N), observation y,

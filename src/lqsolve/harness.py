@@ -208,10 +208,11 @@ def _run_fig3(overrides, seed):
         "step_tol": 1e-12,
     }, overrides)
     inst = generate_instance(InstanceSpec(cfg["m"], cfg["n"], cfg["k_star"], seed=seed))
-    mu_jaita = default_mu("jaita", inst.A)
-    runs = []
+    runs, mu_jaita = [], None
     for q in cfg["q_list"]:
         p = inst.problem(cfg["lam"], q)
+        if mu_jaita is None:  # the Fortran-ordered A the solver reads, once
+            mu_jaita = default_mu("jaita", p.A)
         for alg, mu, cap in (("gaita", cfg["mu_gaita"], cfg["max_sweeps"]),
                              ("jaita", mu_jaita, cfg["max_sweeps_jaita"])):
             rec = _solve(alg, p, mu, inst.x_true, max_sweeps=cap,

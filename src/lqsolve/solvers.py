@@ -11,20 +11,22 @@ Every recorded value is deterministic: the trace holds no wall times.
 The loop binds its solver's step once per run, ``step = bind(A, x, r,
 mu, params)``: ``_sweep``, the C kernel's sweep, for gaita, and
 ``_jacobi_step`` for jaita.  The C binding takes its arrays' pointers and
-owns its screening state, which skips a zero coordinate's dot product
-while a bound proves it stays zero, with every output unchanged.  The
+owns its screening state: the sweep always screens, skipping a zero
+coordinate's dot product while a bound proves it stays zero, with every
+output unchanged.  The sweep computes its dot products in the kernel, so
+its bits do not depend on the BLAS; jaita's step and the loop's
+per-sweep refresh r = A x - y use numpy's BLAS, and theirs may.  The
 prox tolerance is the constant prox.TOL.  default_mu gives each solver's
 default step size.
 """
 
-import csv
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import _csweep, core, prox
-from .core import format_float, objective_from_residual
+from .core import format_float, objective_from_residual, write_rows
 from .errors import DimensionMismatch, InvalidInstance
 from .prox import ProxParams, prox_vector, stalled
 
@@ -134,18 +136,15 @@ class IterationTrace:
         return len(self.rows)
 
     def to_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(self.COLUMNS)
-            for sweep, n, obj, step, supp, rmse in self.rows:
-                writer.writerow([sweep, n, format_float(obj),
-                                 format_float(step), supp, format_float(rmse)])
+        write_rows(path, ",".join(self.COLUMNS), (
+            [str(sweep), str(n), format_float(obj), format_float(step), str(supp),
+             format_float(rmse)] for sweep, n, obj, step, supp, rmse in self.rows))
 
 
 # ---------------------------------------------------------------------------
 # steps
 
-def _sweep(A, x, r, mu, params, screen=True):
+def _sweep(A, x, r, mu, params):
     """Bind the cyclic sweep, the C kernel in _sweep.c, to x and r: returns
     a function of no arguments that runs one sweep in place on them and
     returns the largest change.
@@ -153,9 +152,9 @@ def _sweep(A, x, r, mu, params, screen=True):
     The arguments are checked and the raw pointers taken here, once: the
     returned function always sweeps these very arrays, so a caller must
     change x and r only in place, never replace them with new arrays.
-    With ``screen`` the binding owns the kernel's screening state for A,
-    which carries from sweep to sweep; ``screen=False`` computes every
-    column's dot product.
+    The binding owns the kernel's screening state for A, which carries
+    from sweep to sweep.  After each sweep, the function's ``out[2]``
+    holds the number of columns that screening skipped.
     """
     if A.dtype != np.float64 or A.ndim != 2 or not A.flags.f_contiguous:
         raise InvalidInstance("the C sweep needs a Fortran-ordered float64 matrix")
@@ -168,16 +167,14 @@ def _sweep(A, x, r, mu, params, screen=True):
         raise DimensionMismatch(
             f"x and r have lengths {x.shape[0]} and {r.shape[0]}, "
             f"expected {n_dim} and {m}")
-    state = None
-    if screen:
-        state = np.zeros(3 * n_dim + m + 1)  # layout in _sweep.c
-        state[:n_dim] = np.linalg.norm(A, axis=0) * (1.0 + 1e-10)  # rounded up
-        state[n_dim:2 * n_dim] = np.inf  # no dot product computed yet
-    out = np.empty(2)
+    state = np.zeros(3 * n_dim + m + 1)  # layout in _sweep.c
+    state[:n_dim] = np.linalg.norm(A, axis=0) * (1.0 + 1e-10)  # rounded up
+    state[n_dim:2 * n_dim] = np.inf  # no dot product computed yet
+    out = np.zeros(3)
     lq_sweep = _csweep.lq_sweep
-    args = (_csweep.ddot, m, n_dim, A.ctypes.data, x.ctypes.data, r.ctypes.data,
+    args = (m, n_dim, A.ctypes.data, x.ctypes.data, r.ctypes.data,
             mu, params.c, params.q, params.tau, params.eta, prox.TOL,
-            out.ctypes.data, None if state is None else state.ctypes.data)
+            out.ctypes.data, state.ctypes.data)
 
     def sweep():
         if lq_sweep(*args) >= 0:
@@ -185,6 +182,7 @@ def _sweep(A, x, r, mu, params, screen=True):
         return float(out[0])
 
     sweep.arrays = (A, x, r, state)  # keeps the memory behind the pointers alive
+    sweep.out = out
     return sweep
 
 

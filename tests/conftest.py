@@ -5,9 +5,10 @@ grid search for the scalar thresholding operator, the closed-form
 half-thresholding formula for q = 1/2, bisection on the quartic whose root
 gives the q = 2/3 operator, cyclic Jacobi rotations for
 eigenvalues, plain bisection for the monotone scalar equation, and a run
-loop that computes every sweep.  The Python root-finder, coordinate update
-and sweep here are the oracles the C kernel in _sweep.c is checked against
-bit for bit: the same operations in the same order, in Python.
+loop that computes every sweep.  The Python root-finder, column dot
+product, coordinate update and sweep here are the oracles the C kernel in
+_sweep.c is checked against bit for bit: the same operations in the same
+order, in Python and numpy.
 """
 
 import csv
@@ -202,13 +203,34 @@ def prox_vector_oracle(z, x_prev, params):
                     dtype=np.float64).reshape(z.shape)
 
 
+LANES = 32  # the partial sums of _sweep.c's column_dot
+
+
+def lane_dot(a, r):
+    """a . r in the order _sweep.c's column_dot adds it, in numpy: partial
+    sum k starts at +0.0 and adds the rounded products a[j] * r[j] with
+    j % LANES == k, in order of j; then the partial sums are added
+    pairwise, k + w into k, for w = LANES/2, ..., 2, 1.  The products past
+    the end are +0.0, which leave every partial sum as it is."""
+    products = np.zeros(-(-a.shape[0] // LANES) * LANES)
+    products[:a.shape[0]] = a * r
+    acc = np.zeros(LANES)
+    for row in products.reshape(-1, LANES):
+        acc = acc + row
+    w = LANES // 2
+    while w:
+        acc = acc[:w] + acc[w:2 * w]
+        w //= 2
+    return float(acc[0])
+
+
 def coordinate_step(A, x, r, mu, params, i):
     """Update coordinate i (0-based) in place on x and r; returns the change.
 
     The forward step, the threshold and the rank-1 residual update; x[i]
     is assigned only when it changes.
     """
-    xi = prox_oracle(x[i] - mu * np.dot(A[:, i], r), x[i], params)
+    xi = prox_oracle(x[i] - mu * lane_dot(A[:, i], r), x[i], params)
     d = xi - x[i]
     if d != 0.0:
         r += d * A[:, i]

@@ -556,6 +556,24 @@ class TestProxEval:
         assert "tau=1.5" in out and "eta=1.0" in out
         assert "(x_prev!=0)" in out  # the tie at |z| == tau shows both branches
 
+    def test_reads_negative_numbers_in_any_notation(self, capsys):
+        code = run_cli("prox-eval", "--q", "0.5", "--lambda-mu", "1",
+                       "--z", "0.5", "-1e3", "-2.5E-1", "-1", "-.5")
+        assert code == 0
+        rows = capsys.readouterr().out.splitlines()[2:]
+        assert [row.split(",")[0] for row in rows] == [
+            "0.5", "-1000.0", "-0.25", "-1.0", "-0.5"]
+
+    def test_a_stalled_z_prints_no_table(self, capsys):
+        # -inf is read as a value, and its root-find stalls before any row
+        # is printed
+        code = run_cli("prox-eval", "--q", "0.5", "--lambda-mu", "1",
+                       "--z", "0.5", "-inf")
+        printed = capsys.readouterr()
+        assert code == 2
+        assert printed.out == ""
+        assert printed.err == "error: prox root-finder stalled at z_abs=inf\n"
+
 
 class TestCompareAndSweep:
     DESK = ("--m", "25", "--n", "50", "--k", "3", "--max-sweeps", "300")
@@ -605,6 +623,25 @@ class TestCompareAndSweep:
             outs.append(out)
         for fname in ("fig1_result.json", "fig1_traces.csv"):
             assert (outs[0] / fname).read_bytes() == (outs[1] / fname).read_bytes()
+
+
+def test_written_files_end_lines_with_a_bare_newline(tmp_path, instance_dir):
+    small = ("--m", "25", "--n", "50", "--k", "3", "--max-sweeps", "50")
+    run = tmp_path / "solve"
+    assert run_cli("solve", "--instance-dir", str(instance_dir),
+                   "--out-dir", str(run), "--quiet") == 0
+    assert run_cli("certify", "--instance-dir", str(instance_dir),
+                   "--solution", str(run / "solution.csv"),
+                   "--out-dir", str(tmp_path / "certify"), "--quiet") == 0
+    for preset in ("fig1", "fig3", "fig4"):
+        assert run_cli("compare", "--preset", preset, *small,
+                       "--out-dir", str(tmp_path / preset), "--quiet") == 0
+    assert run_cli("sweep", *small, "--out-dir", str(tmp_path / "sweep"),
+                   "--quiet") == 0
+    files = [f for f in tmp_path.rglob("*") if f.is_file()]
+    assert {"A.csv", "trace.csv", "solution.csv", "certificate.json",
+            "fig3_traces.csv", "mu_sweep_cells.csv"} <= {f.name for f in files}
+    assert [f.name for f in files if b"\r" in f.read_bytes()] == []
 
 
 @pytest.mark.parametrize("command", [("compare", "--preset", "fig1"), ("sweep",)])

@@ -1,5 +1,3 @@
-import contextlib
-import ctypes
 import os
 import shutil
 import subprocess
@@ -124,10 +122,8 @@ class TestGaitaRun:
     def test_kernel_matches_pure_python(self):
         for q, factor, sweeps, spec in self.KERNEL_CASES:
             p, _ = small_problem(q=q, **spec)
-            for screen in (False, True):
-                x = np.zeros(p.n)
-                assert_sweeps_match(p, x, p.A @ x - p.y, factor / l_max(p.A),
-                                    screen, sweeps)
+            x = np.zeros(p.n)
+            assert_sweeps_match(p, x, p.A @ x - p.y, factor / l_max(p.A), sweeps)
 
     def test_run_is_the_same_on_both_backends(self, monkeypatch):
         # gaita_run on the kernel's sweep and on the oracle sweep
@@ -226,33 +222,34 @@ def test_stalled_prox_raises_from_a_run():
             gaita_run(p, np.zeros(3), SolverConfig(mu=1e300))
 
 
-def assert_sweeps_match(p, x, r, mu, screen, sweeps):
+def assert_sweeps_match(p, x, r, mu, sweeps):
     """Sweep x and r = A x - y with the kernel, and copies of them with the
     oracle, refreshing r after each sweep: every result has the same bits."""
     params = ProxParams(c=p.lam * mu, q=p.q)
     xp, rp = x.copy(), r.copy()
-    sweep_c = solvers._sweep(p.A, x, r, mu, params, screen=screen)
+    sweep_c = solvers._sweep(p.A, x, r, mu, params)
     sweep_py = sweep_oracle(p.A, xp, rp, mu, params)
     for k in range(sweeps):
-        assert sweep_c() == sweep_py(), (screen, k)
-        assert x.tobytes() == xp.tobytes() and r.tobytes() == rp.tobytes(), (screen, k)
+        assert sweep_c() == sweep_py(), k
+        assert x.tobytes() == xp.tobytes() and r.tobytes() == rp.tobytes(), k
         r[:] = p.A @ x - p.y
         rp[:] = p.A @ xp - p.y
 
 
 # residual lengths at and around the widths of the kernel's vector lanes
-# (2, 4 and 8 doubles), so that each remainder loop runs
-@pytest.mark.parametrize("m", [1, 2, 3, 5, 7, 8, 9, 15, 16, 17, 33])
+# (2, 4 and 8 doubles) and its dot product's 32 partial sums, so that each
+# remainder loop runs
+@pytest.mark.parametrize("m", [1, 2, 3, 5, 7, 8, 9, 15, 16, 17, 31, 32, 33,
+                               63, 64, 65])
 def test_kernel_matches_pure_python_at_every_lane_remainder(m):
     p, _ = small_problem(seed=m, m=m, n=2 * m + 3, k=1)
-    for screen in (False, True):
-        # offset 1: x and r are views that start one double into a buffer
-        for offset in (0, 1):
-            x = np.zeros(p.n + offset)[offset:]
-            r = np.zeros(p.m + offset)[offset:]
-            r[:] = -p.y
-            assert_sweeps_match(p, x, r, 0.95 / l_max(p.A), screen, 8)
-            assert np.any(x != 0.0)  # the residual update ran
+    # offset 1: x and r are views that start one double into a buffer
+    for offset in (0, 1):
+        x = np.zeros(p.n + offset)[offset:]
+        r = np.zeros(p.m + offset)[offset:]
+        r[:] = -p.y
+        assert_sweeps_match(p, x, r, 0.95 / l_max(p.A), 8)
+        assert np.any(x != 0.0)  # the residual update ran
 
 
 @pytest.mark.parametrize("bad, error", [
@@ -278,8 +275,8 @@ def test_c_kernel_rejects_bad_arrays(bad, error):
 
 def test_kernel_builds_into_an_empty_cache(tmp_path, monkeypatch):
     monkeypatch.setattr(_csweep, "CACHE", tmp_path)
-    sweep, prox, parse, ddot = _csweep.load()
-    assert sweep is not None and prox is not None and parse is not None and ddot
+    sweep, prox, parse = _csweep.load()
+    assert sweep is not None and prox is not None and parse is not None
     assert [f.suffix for f in tmp_path.iterdir()] == [".so"]
 
 
@@ -294,12 +291,49 @@ def test_kernel_compiles_without_warnings(tmp_path):
 
 
 def test_kernel_flags_keep_ieee_rounding():
-    # the kernel's bits equal numpy's only when every operation rounds
-    # alone and no sum is reordered; -march=native would also tie the
-    # cached build to the CPU that compiled it
+    # the kernel's bits equal the oracles' (numpy's, for the residual
+    # update) only when every operation rounds alone and no sum is
+    # reordered; -march=native would also tie the cached build to the CPU
+    # that compiled it
     assert "-ffp-contract=off" in _csweep.FLAGS
     assert not {"-ffast-math", "-Ofast", "-funsafe-math-optimizations",
                 "-fassociative-math", "-march=native"} & set(_csweep.FLAGS)
+
+
+# OpenBLAS's x86 kernels, each with the CPU flag it needs
+BLAS_CORE_TYPES = {"Sandybridge": "avx", "Haswell": "avx2", "SkylakeX": "avx512f"}
+
+
+def test_sweep_bits_do_not_depend_on_the_blas_kernel():
+    # one sweep from fixed random (A, x, r), with no gemv, in a fresh
+    # process per OpenBLAS kernel: the sweep calls no BLAS, so the bytes
+    # agree whichever kernel numpy's BLAS picked
+    cpuinfo = Path("/proc/cpuinfo")
+    flags = set(cpuinfo.read_text().split()) if cpuinfo.exists() else set()
+    cores = [core for core, flag in BLAS_CORE_TYPES.items() if flag in flags]
+    if len(cores) < 2:
+        pytest.skip("the CPU runs fewer than two of OpenBLAS's x86 kernels")
+    script = (
+        "import hashlib, numpy as np\n"
+        "from lqsolve import solvers\n"
+        "from lqsolve.prox import ProxParams\n"
+        "rng = np.random.default_rng(7)\n"
+        "A = np.asfortranarray(rng.standard_normal((250, 500)))\n"
+        "x = np.where(rng.random(500) < 0.2, rng.standard_normal(500), 0.0)\n"
+        "r = rng.standard_normal(250)\n"
+        "solvers._sweep(A, x, r, 1e-3, ProxParams(c=1e-3, q=0.5))()\n"
+        "print(np.count_nonzero(x), hashlib.sha256(x.tobytes() + r.tobytes()).hexdigest())\n")
+    src = str(Path(_csweep.__file__).parent.parent)
+    outputs = set()
+    for core in cores:
+        env = dict(os.environ, OPENBLAS_CORETYPE=core, OPENBLAS_NUM_THREADS="1",
+                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, (core, proc.stderr)
+        outputs.add(proc.stdout)
+    assert len(outputs) == 1, outputs
+    assert int(outputs.pop().split()[0]) > 0  # the sweep moved x
 
 
 @pytest.mark.parametrize("fault, reason", [
@@ -409,24 +443,24 @@ def noisy_instance():
     return generate_instance(InstanceSpec(250, 500, 15, snr_db=30.0, seed=0))
 
 
-_DDOT = ctypes.CFUNCTYPE(ctypes.c_double, ctypes.c_int64, ctypes.c_void_p,
-                         ctypes.c_int64, ctypes.c_void_p, ctypes.c_int64)
+def count_skipped(monkeypatch):
+    """From here on, each sweep of the C kernel appends to the returned
+    list the number of columns that screening skipped, as the kernel
+    reports it in out[2]."""
+    bind, skipped = solvers._sweep, []
 
+    def counted(*args):
+        sweep = bind(*args)
 
-@contextlib.contextmanager
-def counting_ddot(monkeypatch):
-    """Count the column dot products the C sweep computes inside the block."""
-    real = _DDOT(_csweep.ddot)
-    calls = []
+        def step():
+            change = sweep()
+            skipped.append(sweep.out[2])
+            return change
 
-    def counted(n, x, incx, y, incy):
-        calls.append(None)
-        return real(n, x, incx, y, incy)
+        return step
 
-    callback = _DDOT(counted)
-    with monkeypatch.context() as patch:
-        patch.setattr(_csweep, "ddot", ctypes.cast(callback, ctypes.c_void_p).value)
-        yield calls
+    monkeypatch.setattr(solvers, "_sweep", counted)
+    return skipped
 
 
 def _assert_same_run(got, want):
@@ -468,9 +502,11 @@ class TestScreening:
                                                q, mu, cap):
         p = noisy_instance.problem(0.009, q)
         config = SolverConfig(mu=mu, max_sweeps=cap, stop="cap")
-        with counting_ddot(monkeypatch) as calls:
-            got = gaita_run(p, np.zeros(p.n), config)
-        assert len(calls) < 0.25 * cap * p.n
+        skipped = count_skipped(monkeypatch)
+        got = gaita_run(p, np.zeros(p.n), config)
+        assert len(skipped) == cap
+        assert skipped[0] == 0  # no column has a bound before its first dot product
+        assert max(skipped) <= p.n and sum(skipped) > 0.75 * cap * p.n
         _assert_same_run(got, plain_run(p, np.zeros(p.n), config, "gaita"))
 
     def test_screening_sees_r_move_between_sweeps(self, noisy_instance):
@@ -492,18 +528,6 @@ class TestScreening:
         assert sweep() == sweep_oracle(p.A, xp, rp, mu, params)()
         assert x.tobytes() == xp.tobytes() and r.tobytes() == rp.tobytes()
         assert x[j] != 0.0
-
-    def test_kernel_without_state_computes_every_column(self, noisy_instance,
-                                                        monkeypatch):
-        p = noisy_instance.problem(0.009, 0.5)
-        params = ProxParams(c=p.lam * 0.5, q=p.q)
-        x = np.zeros(p.n)
-        r = p.A @ x - p.y
-        with counting_ddot(monkeypatch) as calls:
-            sweep = solvers._sweep(p.A, x, r, 0.5, params, screen=False)
-            for _ in range(3):
-                sweep()
-        assert len(calls) == 3 * p.n
 
     @pytest.mark.parametrize("every", [1, 3, 7])
     def test_jaita_matches_plain_loop(self, noisy_instance, every):
