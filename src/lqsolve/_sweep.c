@@ -193,17 +193,15 @@ static void residual_update(int64_t m, double d, const double *col, double *r)
 
 /* Sweep the n columns of the column-major m x n matrix a, updating x and
  * the residual r = a x - y in place, with st the screening state
- * described above.  out[0] receives the largest single-coordinate change
- * and out[2] the number of columns that screening skipped.  Returns -1,
- * or the index of the coordinate whose prox stalled, with its |z| in
- * out[1]; the coordinates before it are already updated, as in the
- * oracle sweep. */
+ * described above.  out[1] receives the number of columns that screening
+ * skipped.  Returns -1, or the index of the coordinate whose prox
+ * stalled, with its |z| in out[0]; the coordinates before it are already
+ * updated, as in the oracle sweep. */
 int64_t lq_sweep(int64_t m, int64_t n, const double *a, double *x, double *r,
                  double mu, double c, double q, double tau, double eta,
                  double tol, double *out, double *st)
 {
     double *norm = st, *bound = st + n, *at = st + 2 * n;
-    double max_step = 0.0;
     /* r moves by at most `moved` within this call; ||r|| <= r1 + moved */
     double moved = 0.0, lim = MARGIN * (tau / mu);
     /* > gamma_m, which bounds the rounding of column_dot's sum */
@@ -224,16 +222,13 @@ int64_t lq_sweep(int64_t m, int64_t n, const double *a, double *x, double *r,
         bound[i] = (fabs(dot) + err) * (1.0 + slack);
         at[i] = moved;
         if (!threshold(z, x[i], c, q, tau, eta, tol, &xi)) {
-            out[0] = max_step;
-            out[1] = fabs(z);
+            out[0] = fabs(z);
             return i;
         }
         double d = xi - x[i];
         if (d != 0.0) {
             residual_update(m, d, col, r);
             x[i] = xi;
-            if (fabs(d) > max_step)
-                max_step = fabs(d);
             /* r += d a_i moves r by |d| ||a_i||, plus a rounding per entry */
             moved += (fabs(d) * norm[i] + DBL_EPSILON * (r1 + moved))
                      * (1.0 + slack);
@@ -241,8 +236,7 @@ int64_t lq_sweep(int64_t m, int64_t n, const double *a, double *x, double *r,
     }
     memcpy(st + 3 * n, r, (size_t)m * sizeof(double));   /* r_end, moved */
     st[3 * n + m] = moved;
-    out[0] = max_step;
-    out[2] = (double)skipped;
+    out[1] = (double)skipped;
     return -1;
 }
 

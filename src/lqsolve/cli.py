@@ -375,6 +375,17 @@ class _Parser(argparse.ArgumentParser):
         raise LqsolveError(f"{self.prog}: {message}")
 
 
+def _z_value(text):
+    """A --z value of prox-eval: any float but NaN, whose prox is no number."""
+    try:
+        z = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if z != z:
+        raise argparse.ArgumentTypeError(f"invalid value {text!r}: z is NaN")
+    return z
+
+
 def _add_common(sp):
     sp.add_argument("--config", help="JSON file of option values keyed by "
                     "dest; flags on the command line win")
@@ -441,7 +452,7 @@ def build_parser():
     sp.add_argument("--q", type=float, required=True)
     sp.add_argument("--lambda-mu", type=float, required=True,
                     help="the product lambda*mu")
-    sp.add_argument("--z", type=float, nargs="+", required=True)
+    sp.add_argument("--z", type=_z_value, nargs="+", required=True)
     sp.set_defaults(func=cmd_prox_eval)
 
     sp = sub.add_parser("certify", help="stationarity + local-min certificates")

@@ -44,10 +44,9 @@ class SolverConfig:
     """The settings of one run.
 
     ``stop`` names the rule that ends a run before ``max_sweeps``:
-    "iterate_change" stops once a sweep's step is <= ``tol``, the step
-    being the largest single-coordinate change of the sweep for gaita and
-    the 2-norm of the whole update for jaita; "rmse" stops once
-    ||x - reference|| / ||reference|| <= ``tol``; "cap" runs to
+    "iterate_change" stops once ``step_norm``, the 2-norm of the sweep's
+    step, the trace column of the same name, is <= ``tol``; "rmse" stops
+    once ||x - reference|| / ||reference|| <= ``tol``; "cap" runs to
     ``max_sweeps`` and ignores ``tol``.
     """
 
@@ -99,9 +98,9 @@ class SolverState:
 class IterationTrace:
     """Per-sweep records, run flags and, with record_iterates, each iterate.
 
-    Columns: sweep, n (update counter), objective, step_norm (euclidean
-    norm of the change since the previous record), support_size, rmse
-    (nan when no reference).
+    Columns: sweep, n (update counter), objective, step_norm (the 2-norm
+    of the row's own sweep's step: the last row of an "iterate_change" run
+    shows the step that ended it), support_size, rmse (nan if no reference).
     """
 
     COLUMNS = ("sweep", "n", "objective", "step_norm", "support_size", "rmse")
@@ -146,14 +145,13 @@ class IterationTrace:
 
 def _sweep(A, x, r, mu, params):
     """Bind the cyclic sweep, the C kernel in _sweep.c, to x and r: returns
-    a function of no arguments that runs one sweep in place on them and
-    returns the largest change.
+    a function of no arguments that runs one sweep in place on them.
 
     The arguments are checked and the raw pointers taken here, once: the
     returned function always sweeps these very arrays, so a caller must
     change x and r only in place, never replace them with new arrays.
     The binding owns the kernel's screening state for A, which carries
-    from sweep to sweep.  After each sweep, the function's ``out[2]``
+    from sweep to sweep.  After each sweep, the function's ``out[1]``
     holds the number of columns that screening skipped.
     """
     if A.dtype != np.float64 or A.ndim != 2 or not A.flags.f_contiguous:
@@ -170,7 +168,7 @@ def _sweep(A, x, r, mu, params):
     state = np.zeros(3 * n_dim + m + 1)  # layout in _sweep.c
     state[:n_dim] = np.linalg.norm(A, axis=0) * (1.0 + 1e-10)  # rounded up
     state[n_dim:2 * n_dim] = np.inf  # no dot product computed yet
-    out = np.zeros(3)
+    out = np.zeros(2)
     lq_sweep = _csweep.lq_sweep
     args = (m, n_dim, A.ctypes.data, x.ctypes.data, r.ctypes.data,
             mu, params.c, params.q, params.tau, params.eta, prox.TOL,
@@ -178,8 +176,7 @@ def _sweep(A, x, r, mu, params):
 
     def sweep():
         if lq_sweep(*args) >= 0:
-            raise stalled(out[1])
-        return float(out[0])
+            raise stalled(out[0])
 
     sweep.arrays = (A, x, r, state)  # keeps the memory behind the pointers alive
     sweep.out = out
@@ -188,13 +185,9 @@ def _sweep(A, x, r, mu, params):
 
 def _jacobi_step(A, x, r, mu, params):
     """Bind jaita's step to x and r: returns a function of no arguments
-    that takes one thresholded full-gradient step in place on x and
-    returns the 2-norm of the update."""
+    that takes one thresholded full-gradient step in place on x."""
     def step():
-        x_new = prox_vector(x - mu * (A.T @ r), x, params)
-        step_norm = _norm(x_new - x)
-        x[:] = x_new
-        return step_norm
+        x[:] = prox_vector(x - mu * (A.T @ r), x, params)
 
     return step
 
@@ -217,13 +210,15 @@ def _run(p, x0, config, algorithm, bind, mu_bound, updates_per_sweep):
     """The loop both solvers share; returns (final state, trace).
 
     ``bind(A, x, r, mu, params)`` is called once, before the first sweep,
-    and returns ``step()``, which does one sweep in place on x and r and
-    returns the step metric that stop "iterate_change" compares with
-    config.tol.  The loop refreshes r = A x - y after every sweep, records,
-    and applies the stop rule and the divergence guard.  It changes x and
-    r only in place and never rebinds them, so a step may hold their
-    memory for the whole run, as the C sweep does.  ``mu_bound(A)`` is
-    the curvature bound whose inverse the step size should stay below.
+    and returns ``step()``, which does one sweep in place on x and r.  The
+    loop copies x into x_before first and measures the step once: stop
+    "iterate_change" compares step_norm = ||x - x_before|| with config.tol,
+    and the trace records it.  It refreshes r = A x - y after every sweep,
+    records, and applies the stop rule and the divergence guard.  It
+    changes x and r only in place and never rebinds them, so a step may
+    hold their memory for the whole run, as the C sweep does.
+    ``mu_bound(A)`` is the curvature bound whose inverse the step size
+    should stay below.
     numpy's overflow and invalid-value warnings are off throughout: the
     divergence guard is what reports an objective that overflows.
     """
@@ -255,24 +250,24 @@ def _run(p, x0, config, algorithm, bind, mu_bound, updates_per_sweep):
 
     x, r = state.x, state.residual
     step = bind(p.A, x, r, config.mu, params)
-    x_prev_rec = x.copy()
+    x_before = np.empty_like(x)
     sweep = 0
     for sweep in range(1, config.max_sweeps + 1):
-        step_metric = step()
+        x_before[:] = x
+        step()
+        step_norm = _norm(x - x_before)
         r[:] = p.A @ x - p.y  # per-sweep refresh bounds rank-1 drift
         state.objective = objective_from_residual(p, x, r)
         rmse = _rmse_vs(x, ref, ref_norm) if ref is not None else math.nan
 
         diverged = not (state.objective <= guard)
         stop = config.stop != "cap" and (
-            step_metric if config.stop == "iterate_change" else rmse) <= config.tol
+            step_norm if config.stop == "iterate_change" else rmse) <= config.tol
 
         if (stop or diverged or sweep % config.record_every == 0
                 or sweep == config.max_sweeps):
             trace.record(sweep, sweep * updates_per_sweep, state.objective,
-                         _norm(x - x_prev_rec), x, rmse,
-                         config.record_iterates)
-            x_prev_rec = x.copy()
+                         step_norm, x, rmse, config.record_iterates)
         if diverged:
             trace.flags["diverged"] = True
             break

@@ -211,12 +211,11 @@ def lane_dot(a, r):
     sum k starts at +0.0 and adds the rounded products a[j] * r[j] with
     j % LANES == k, in order of j; then the partial sums are added
     pairwise, k + w into k, for w = LANES/2, ..., 2, 1.  The products past
-    the end are +0.0, which leave every partial sum as it is."""
+    the end are +0.0, which leave every partial sum as it is.  A reduce
+    along axis 0 adds the rows one by one, in order, in each column."""
     products = np.zeros(-(-a.shape[0] // LANES) * LANES)
     products[:a.shape[0]] = a * r
-    acc = np.zeros(LANES)
-    for row in products.reshape(-1, LANES):
-        acc = acc + row
+    acc = np.add.reduce(products.reshape(-1, LANES), axis=0, initial=0.0)
     w = LANES // 2
     while w:
         acc = acc[:w] + acc[w:2 * w]
@@ -225,7 +224,7 @@ def lane_dot(a, r):
 
 
 def coordinate_step(A, x, r, mu, params, i):
-    """Update coordinate i (0-based) in place on x and r; returns the change.
+    """Update coordinate i (0-based) in place on x and r.
 
     The forward step, the threshold and the rank-1 residual update; x[i]
     is assigned only when it changes.
@@ -235,7 +234,6 @@ def coordinate_step(A, x, r, mu, params, i):
     if d != 0.0:
         r += d * A[:, i]
         x[i] = xi
-    return d
 
 
 def gaita_update(state, p, config):
@@ -250,8 +248,7 @@ def gaita_update(state, p, config):
 
 def sweep_oracle(A, x, r, mu, params):
     """Bind the cyclic sweep to x and r, as solvers._sweep does: returns a
-    function of no arguments that runs one sweep in place on them and
-    returns the largest change.
+    function of no arguments that runs one sweep in place on them.
 
     It computes every coordinate: skipping one that screening proves stays
     zero, as the kernel does, gives the same bits.  Floating-point warnings
@@ -259,21 +256,17 @@ def sweep_oracle(A, x, r, mu, params):
     ConvergenceFailure.
     """
     def sweep():
-        max_step = 0.0
         with np.errstate(over="ignore", invalid="ignore"):
             for i in range(A.shape[1]):
-                d = abs(coordinate_step(A, x, r, mu, params, i))
-                if d > max_step:
-                    max_step = d
-        return max_step
+                coordinate_step(A, x, r, mu, params, i)
 
     return sweep
 
 
-# (problem, mu, algorithm, x before the step) -> (step metric, x after it).
-# With r = A x - y refreshed before every step, the oracle step is a
-# function of x alone; the tests run one problem under several record and
-# stop settings, and each oracle sweep takes milliseconds in Python.
+# (problem, mu, algorithm, x before the step) -> x after it.  With
+# r = A x - y refreshed before every step, the oracle step is a function of
+# x alone; the tests run one problem under several record and stop
+# settings, and each oracle sweep takes milliseconds in Python.
 _ORACLE_STEPS = {}
 
 
@@ -281,9 +274,9 @@ def plain_run(p, x0, config, algorithm):
     """The solvers' run loop with nothing skipped, on the oracles: every
     sweep runs the oracle step (gaita: sweep_oracle, which computes every
     coordinate; jaita: one thresholded gradient step through
-    prox_vector_oracle), then r = A x - y, the objective and the RMSE.
-    Returns (x, r, objective, trace) for bit-for-bit comparison with
-    gaita_run / jaita_run."""
+    prox_vector_oracle), then its step_norm ||x - x_before||, r = A x - y,
+    the objective and the RMSE.  Returns (x, r, objective, trace) for
+    bit-for-bit comparison with gaita_run / jaita_run."""
     params = ProxParams(c=p.lam * config.mu, q=p.q)
     x = np.array(x0, dtype=np.float64)
     r = p.A @ x - p.y
@@ -312,19 +305,17 @@ def plain_run(p, x0, config, algorithm):
         if k not in _ORACLE_STEPS:
             if algorithm == "gaita":
                 x_new = x.copy()
-                step = sweep_oracle(p.A, x_new, r.copy(), config.mu, params)()
+                sweep_oracle(p.A, x_new, r.copy(), config.mu, params)()
             else:
                 x_new = prox_vector_oracle(x - config.mu * (p.A.T @ r), x, params)
-                step = float(np.linalg.norm(x_new - x))
-            _ORACLE_STEPS[k] = step, x_new
-        step, x_new = _ORACLE_STEPS[k]
-        x[:] = x_new
-        return step
+            _ORACLE_STEPS[k] = x_new
+        x[:] = _ORACLE_STEPS[k]
 
-    x_rec = x.copy()
     sweep = 0
     for sweep in range(1, config.max_sweeps + 1):
-        step = step_once()
+        x_before = x.copy()
+        step_once()
+        step = float(np.linalg.norm(x - x_before))
         r[:] = p.A @ x - p.y
         obj = objective_from_residual(p, x, r)
         e = rmse()
@@ -334,10 +325,8 @@ def plain_run(p, x0, config, algorithm):
                 else False)
         if (stop or diverged or sweep % config.record_every == 0
                 or sweep == config.max_sweeps):
-            trace.record(sweep, sweep * per_sweep, obj,
-                         float(np.linalg.norm(x - x_rec)), x, e,
+            trace.record(sweep, sweep * per_sweep, obj, step, x, e,
                          config.record_iterates)
-            x_rec = x.copy()
         if diverged or stop:
             trace.flags["diverged" if diverged else "converged"] = True
             break

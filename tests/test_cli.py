@@ -574,6 +574,17 @@ class TestProxEval:
         assert printed.out == ""
         assert printed.err == "error: prox root-finder stalled at z_abs=inf\n"
 
+    @pytest.mark.parametrize("z", ["nan", "-NaN"])
+    def test_a_nan_z_is_rejected(self, capsys, z):
+        # a NaN has no prox: the parser refuses it, in one line naming it
+        code = run_cli("prox-eval", "--q", "0.5", "--lambda-mu", "1",
+                       "--z", "0.5", z)
+        printed = capsys.readouterr()
+        assert code == 2
+        assert printed.out == ""
+        assert printed.err == ("error: lqsolve prox-eval: argument --z: "
+                               f"invalid value '{z}': z is NaN\n")
+
 
 class TestCompareAndSweep:
     DESK = ("--m", "25", "--n", "50", "--k", "3", "--max-sweeps", "300")

@@ -224,13 +224,14 @@ def test_stalled_prox_raises_from_a_run():
 
 def assert_sweeps_match(p, x, r, mu, sweeps):
     """Sweep x and r = A x - y with the kernel, and copies of them with the
-    oracle, refreshing r after each sweep: every result has the same bits."""
+    oracle, refreshing r after each sweep: x and r keep the same bits."""
     params = ProxParams(c=p.lam * mu, q=p.q)
     xp, rp = x.copy(), r.copy()
     sweep_c = solvers._sweep(p.A, x, r, mu, params)
     sweep_py = sweep_oracle(p.A, xp, rp, mu, params)
     for k in range(sweeps):
-        assert sweep_c() == sweep_py(), k
+        assert sweep_c() is None  # the run loop measures the step
+        sweep_py()
         assert x.tobytes() == xp.tobytes() and r.tobytes() == rp.tobytes(), k
         r[:] = p.A @ x - p.y
         rp[:] = p.A @ xp - p.y
@@ -422,19 +423,37 @@ class TestJaita:
         assert np.linalg.norm(g_state.x - j_state.x) <= 1e-6
 
 
+@pytest.mark.parametrize("every", [3, 7])
 @pytest.mark.parametrize("run, bound, factor", [
     (gaita_run, l_max, 0.95), (jaita_run, spectral_norm_sq, 0.99)])
-def test_step_norm_spans_skipped_sweeps(run, bound, factor):
-    # step_norm is the change since the previous record, not the last step
+def test_thinned_trace_keeps_the_full_traces_rows(run, bound, factor, every):
+    # step_norm is the step of the row's own sweep, so a thinned trace is
+    # the full trace at its sweeps, the final sweep 20 included
     p, _ = small_problem(seed=3)
-    config = SolverConfig(mu=factor / bound(p.A), max_sweeps=20,
-                          stop="cap", record_every=3,
-                          record_iterates=True)
-    _, trace = run(p, np.zeros(p.n), config)
-    it = trace.iterates
-    assert len(it) == 8  # sweeps 0, 3, ..., 18 and the final sweep 20
-    for k in range(1, len(it)):
-        assert trace.rows[k][3] == np.linalg.norm(it[k] - it[k - 1])
+    settings = dict(mu=factor / bound(p.A), max_sweeps=20, stop="cap")
+    _, full = run(p, np.zeros(p.n), SolverConfig(**settings))
+    _, thin = run(p, np.zeros(p.n), SolverConfig(**settings, record_every=every))
+    kept = [row for row in full.rows if row[0] % every == 0 or row[0] == 20]
+    assert repr(thin.rows) == repr(kept)
+
+
+@pytest.mark.parametrize("algorithm", ["gaita", "jaita"])
+def test_iterate_change_stops_at_the_first_small_step_norm(algorithm):
+    # both solvers stop on the trace's step_norm: the run ends at the first
+    # sweep whose step_norm is <= tol in a capped run of the same problem
+    # (for gaita here, one sweep after the largest single-coordinate change
+    # first falls below tol)
+    p = generate_instance(InstanceSpec(250, 500, 15, seed=0)).problem(0.001, 2 / 3)
+    run = gaita_run if algorithm == "gaita" else jaita_run
+    mu = solvers.default_mu(algorithm, p.A)
+    _, stopped = run(p, np.zeros(p.n), SolverConfig(mu=mu, tol=1e-10))
+    assert stopped.flags["converged"]
+    sweeps = stopped.flags["sweeps"]
+    _, capped = run(p, np.zeros(p.n),
+                    SolverConfig(mu=mu, max_sweeps=sweeps + 10, stop="cap"))
+    steps = capped.column("step_norm")
+    assert int(np.flatnonzero(steps <= 1e-10)[0]) == sweeps
+    assert repr(stopped.rows) == repr(capped.rows[:sweeps + 1])
 
 
 @pytest.fixture(scope="module")
@@ -446,16 +465,15 @@ def noisy_instance():
 def count_skipped(monkeypatch):
     """From here on, each sweep of the C kernel appends to the returned
     list the number of columns that screening skipped, as the kernel
-    reports it in out[2]."""
+    reports it in out[1]."""
     bind, skipped = solvers._sweep, []
 
     def counted(*args):
         sweep = bind(*args)
 
         def step():
-            change = sweep()
-            skipped.append(sweep.out[2])
-            return change
+            sweep()
+            skipped.append(sweep.out[1])
 
         return step
 
@@ -525,7 +543,8 @@ class TestScreening:
         col = p.A[:, j]
         r += 2.0 * params.tau / mu * col / (col @ col)
         xp, rp = x.copy(), r.copy()
-        assert sweep() == sweep_oracle(p.A, xp, rp, mu, params)()
+        sweep()
+        sweep_oracle(p.A, xp, rp, mu, params)()
         assert x.tobytes() == xp.tobytes() and r.tobytes() == rp.tobytes()
         assert x[j] != 0.0
 
