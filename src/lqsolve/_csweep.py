@@ -6,11 +6,11 @@ compiler flags, and written under a temporary name first so that
 concurrent first imports never load a half-written file.  Later imports
 only hash the source and load the cached file.  It is loaded once, here:
 ``lq_sweep`` (gaita's sweep), ``lq_prox`` (the prox behind
-``prox.prox_vector``) and ``lq_parse`` (the array-file parser behind
-``cli.read_array``) hold the handles.  The kernel calls no BLAS: gaita's
-sweep computes its own dot products, so it loads with any numpy build.
-Where the kernel cannot be built or loaded, importing lqsolve raises
-Unavailable, whose message names the cause.
+``prox.prox_vector``) and ``lq_parse`` (``cli.read_array``'s parser, the
+only reader of array files) hold the handles.  The kernel calls no BLAS:
+gaita's sweep computes its own dot products, so it loads with any numpy
+build.  Where the kernel cannot be built or loaded, importing lqsolve
+raises Unavailable, whose message names the cause.
 """
 
 import ctypes
@@ -77,14 +77,14 @@ def load():
     except OSError as exc:
         raise Unavailable(f"cannot load {target.name}: {exc}") from None
     sweep, prox, parse = lib.lq_sweep, lib.lq_prox, lib.lq_parse
-    sweep.restype = prox.restype = ctypes.c_int64
+    sweep.restype = prox.restype = parse.restype = ctypes.c_int64
     sweep.argtypes = ([ctypes.c_int64] * 2 + [ctypes.c_void_p] * 3
                       + [ctypes.c_double] * 6 + [ctypes.c_void_p] * 2)
     prox.argtypes = ([ctypes.c_int64] + [ctypes.c_void_p] * 2
                      + [ctypes.c_double] * 5 + [ctypes.c_void_p])
-    parse.restype = ctypes.c_int
     # a bytes argument passes its own buffer, not a copy
-    parse.argtypes = [ctypes.c_char_p] + [ctypes.c_int64] * 4 + [ctypes.c_void_p]
+    parse.argtypes = [ctypes.c_char_p, ctypes.c_int64, ctypes.POINTER(ctypes.c_int64),
+                      ctypes.c_int64, ctypes.c_int64, ctypes.c_void_p]
     return sweep, prox, parse
 
 

@@ -1,7 +1,7 @@
 /* gaita's cyclic sweep (lq_sweep) and the componentwise prox behind
  * prox.prox_vector (lq_prox), the only implementations lqsolve runs; and
- * lq_parse, which reads the body of an array file to the same bits as
- * np.loadtxt.
+ * lq_parse, which reads the body of an array file to the bits float()
+ * gives.
  *
  * The sweep calls no BLAS: its column dot product and rank-1 residual
  * update are here, so its bits depend on neither the BLAS library nor the
@@ -16,6 +16,7 @@
  * fast-math, so that no sum is reordered, and with -ffp-contract=off: a
  * fused multiply-add changes the rounding.
  */
+#define _GNU_SOURCE   /* strtod_l */
 #include <float.h>
 #include <locale.h>
 #include <math.h>
@@ -251,8 +252,8 @@ int64_t lq_prox(int64_t n, const double *z, const double *x_prev, double c,
     return -1;
 }
 
-/* Array files.  A field of cli.write_array is a decimal made of
- * [0-9+-.eE]; fields longer than this are left to the caller. */
+/* Array files.  cli.write_array writes fields of at most 24 characters of
+ * [0-9+-.eE]; other characters, and fields longer than this, are refused. */
 #define FIELD_MAX 63
 
 static int number_char(char ch)
@@ -341,7 +342,8 @@ static int fast_decimal(const char *s, const char *e, double *v)
 #endif
 
 /* The finite double that the whole field [s, e) spells, into *v; 0 when it
- * spells none.  1 <= e - s <= FIELD_MAX. */
+ * spells none.  1 <= e - s <= FIELD_MAX.  strtod_l reads in the "C" locale,
+ * so LC_NUMERIC's decimal point never matters. */
 static int parse_field(const char *s, const char *e, double *v)
 {
 #ifdef FAST_DECIMAL
@@ -352,36 +354,48 @@ static int parse_field(const char *s, const char *e, double *v)
     size_t n = (size_t)(e - s);
     memcpy(field, s, n);
     field[n] = '\0';
-    *v = strtod(field, &end);
+    locale_t c = newlocale(LC_ALL_MASK, "C", (locale_t)0);
+    if (c == (locale_t)0)   /* out of memory */
+        return 0;
+    *v = strtod_l(field, &end, c);
+    freelocale(c);
     return end == field + n && isfinite(*v);
 }
 
-/* Parse the body of an array file, buf[pos..len), into out, rows * cols
- * doubles in row order.  Returns 1 when the body is exactly what
- * cli.write_array writes: rows lines of cols fields split by ',', each
- * line ended by '\n' (the last may end at the end of the buffer), each
- * field at most FIELD_MAX characters of [0-9+-.eE] that strtod reads
- * whole to a finite double; and LC_NUMERIC's decimal point is '.'.
- * Otherwise returns 0, with out partly written, for the caller to parse
- * the body another way. */
-int lq_parse(const char *buf, int64_t len, int64_t pos, int64_t rows,
-             int64_t cols, double *out)
+static const char *skip_blanks(const char *p, const char *end, int lines)
 {
-    if (strcmp(localeconv()->decimal_point, ".") != 0)
-        return 0;
-    const char *p = buf + pos, *end = buf + len;
+    while (p < end && (*p == ' ' || *p == '\t' || *p == '\r'
+                       || (lines && *p == '\n')))
+        p++;
+    return p;
+}
+
+/* Parse the body of an array file, buf[*pos..len), into out, rows * cols
+ * doubles in row order: rows lines of cols fields split by ','.  Spaces,
+ * tabs and '\r' may surround a field, blank lines are skipped, and the
+ * last line may end at the end of the buffer.  Returns -1, or the index of
+ * the first field that could not be read (rows * cols: data goes on past
+ * the last row), with *pos the offset of its text. */
+int64_t lq_parse(const char *buf, int64_t len, int64_t *pos, int64_t rows,
+                 int64_t cols, double *out)
+{
+    const char *p = buf + *pos, *end = buf + len;
     for (int64_t i = 0; i < rows; i++) {
         for (int64_t j = 0; j < cols; j++) {
-            const char *s = p;
+            const char *s = p = skip_blanks(p, end, j == 0);
+            *pos = s - buf;
             while (p < end && number_char(*p))
                 p++;
             if (p == s || p - s > FIELD_MAX || !parse_field(s, p, out++))
-                return 0;
+                return i * cols + j;
+            p = skip_blanks(p, end, 0);
             if (p < end && *p == (j + 1 < cols ? ',' : '\n'))
                 p++;
-            else if (p < end || i + 1 < rows || j + 1 < cols)
-                return 0;
+            else if (p < end || j + 1 < cols)
+                return i * cols + j;
         }
     }
-    return p == end;
+    p = skip_blanks(p, end, 1);
+    *pos = p - buf;
+    return p == end ? -1 : rows * cols;
 }

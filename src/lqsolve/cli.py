@@ -13,16 +13,17 @@ whose keys are that subcommand's option dests (`k_star` for compare's and
 sweep's `--k`); each value becomes its flag, placed before the command
 line's own flags, which therefore win, and null leaves an option at its
 default.  Exit codes: 0 success (including did-not-converge, which is
-reported in the JSON), 2 bad configuration (a bad flag, or a config file
-that is not a JSON object, holds an unknown key or a bad value), 3 I/O
-failure (including an instance file whose bytes do not match the sha256
-in its manifest), 4 certify ran on a non-stationary point.
+reported in the JSON), 2 bad configuration (a bad flag, a config file with
+an unknown key or a bad value, or a JSON or array file that does not
+read), 3 I/O failure (including an instance file whose bytes do not match
+the sha256 in its manifest), 4 certify ran on a non-stationary point.
 """
 
 import argparse
+import contextlib
+import ctypes
 import dataclasses
 import hashlib
-import io
 import json
 import os
 import re
@@ -55,43 +56,39 @@ def write_array(path, a):
 _NON_BLANK = re.compile(rb"\S")
 
 
-def _parse_exact(data, pos, rows, cols):
-    """The rows x cols array in data[pos:] as lq_parse reads it, or None
-    where the body is not in write_array's exact form."""
-    # every field takes a byte at least: a header claiming more than the
-    # file holds is left to np.loadtxt's message, and sizes no allocation
-    if rows < 1 or cols < 1 or rows * cols > len(data):
-        return None
-    a = np.empty((rows, cols))
-    parsed = _csweep.lq_parse(data, len(data), pos, rows, cols, a.ctypes.data)
-    return a if parsed else None
-
-
 def read_array(path, sha256=None):
     """Read an array file once; when ``sha256`` is given, the bytes read must
     have that digest, and those same bytes are parsed.
 
-    A body in write_array's exact form is parsed by the C kernel's
-    lq_parse, to the bits np.loadtxt gives; any other body goes to
-    np.loadtxt, which then accepts or rejects it with its own message."""
+    The C kernel's lq_parse reads the body, each field to the bits float()
+    gives it, in the forms README.md lists; anything else fails with one
+    line naming the path, the data row and the field, both counted from 1."""
     data = Path(path).read_bytes()
     if sha256 is not None and hashlib.sha256(data).hexdigest() != sha256:
         raise CorruptFile(f"{path}: its sha256 is not the one recorded in manifest.json")
     if _NON_BLANK.search(data) is None:
         raise LqsolveError(f"{path}: the file is empty")
-    fh = io.BytesIO(data)
+    newline = data.find(b"\n")
+    body = len(data) if newline < 0 else newline + 1
     try:
-        rows, cols = (int(t) for t in fh.readline().split(b","))
-        if _NON_BLANK.search(data, fh.tell()) is None:  # numpy would only warn
-            raise LqsolveError(f"{path}: header says {rows}x{cols}, "
-                               "but no data rows follow")
-        a = _parse_exact(data, fh.tell(), rows, cols)
-        if a is None:
-            a = np.loadtxt(fh, delimiter=",", ndmin=2)
-    except ValueError as exc:  # a malformed header or cell
-        raise LqsolveError(f"{path}: {exc}") from None
-    if a.shape != (rows, cols):
-        raise LqsolveError(f"{path}: header says {rows}x{cols}, data is {a.shape}")
+        rows, cols = (int(t) for t in data[:body].split(b","))
+    except ValueError:
+        raise LqsolveError(f"{path}: the first line is not 'rows,cols'") from None
+    if _NON_BLANK.search(data, body) is None:
+        raise LqsolveError(f"{path}: header says {rows}x{cols}, but no data rows follow")
+    # every field takes a byte at least, so this also bounds the allocation
+    if rows < 1 or cols < 1 or rows * cols > len(data):
+        raise LqsolveError(f"{path}: header says {rows}x{cols}, not 1 to {len(data)} fields")
+    a = np.empty((rows, cols))
+    pos = ctypes.c_int64(body)
+    k = _csweep.lq_parse(data, len(data), pos, rows, cols, a.ctypes.data)
+    if k >= 0:
+        row, field = divmod(k, cols)
+        expected = ("the end of the data" if k == rows * cols else "a finite number, then "
+                    + ("a comma" if field + 1 < cols else "the end of the row"))
+        found = data[pos.value:].split(b"\n", 1)[0].strip().decode(errors="replace")
+        raise LqsolveError(f"{path}: row {row + 1}, field {field + 1}: expected "
+                           f"{expected}, found {found[:40]!r}")
     return a
 
 
@@ -110,6 +107,31 @@ def _file_sha256(path):
 def _spec_hash(spec_dict):
     canon = json.dumps(spec_dict, sort_keys=True)
     return hashlib.sha256(canon.encode()).hexdigest()
+
+
+def _read_json(path):
+    """The JSON object in the file at path; any other content fails with
+    one line naming the file."""
+    with open(path) as fh:
+        try:
+            obj = json.load(fh)
+        except ValueError as exc:  # not JSON, or not UTF-8
+            raise LqsolveError(f"{path}: not valid JSON: {exc}") from None
+    if not isinstance(obj, dict):
+        raise LqsolveError(f"{path}: not a JSON object")
+    return obj
+
+
+@contextlib.contextmanager
+def _blaming(path):
+    """A key missing from the JSON read from path, or a value of the wrong
+    type or range, fails with one line naming the file."""
+    try:
+        yield
+    except KeyError as exc:
+        raise LqsolveError(f"{path}: no key {exc}") from None
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise LqsolveError(f"{path}: {exc}") from None
 
 
 def _write_json(path, payload):
@@ -142,24 +164,27 @@ def save_instance(out_dir, inst):
 
 def load_instance(instance_dir):
     instance_dir = Path(instance_dir)
-    with open(instance_dir / "manifest.json") as fh:
-        manifest = json.load(fh)
-    recorded = manifest.get("sha256", {})
+    path = instance_dir / "manifest.json"
+    manifest = _read_json(path)
+    with _blaming(path):
+        names = {kind: manifest["files"][kind] for kind in INSTANCE_FILES}
+        recorded = {kind: manifest.get("sha256", {}).get(name)
+                    for kind, name in names.items()}
+        files = {kind: instance_dir / name for kind, name in names.items()}
+        odd = sorted(set(manifest["spec"]) ^ SPEC_FIELDS)
+        if odd:
+            raise LqsolveError(f"{path}: spec fields missing or unknown: "
+                               f"{', '.join(odd)}")
+        spec = harness.InstanceSpec(**manifest["spec"])
 
     def read(kind, reader):
-        name = manifest["files"][kind]
-        if name not in recorded:
-            raise CorruptFile(f"{instance_dir / name}: manifest.json records no "
-                              "sha256 for it")
-        return reader(instance_dir / name, recorded[name])
+        if recorded[kind] is None:
+            raise CorruptFile(f"{files[kind]}: manifest.json records no sha256 for it")
+        return reader(files[kind], recorded[kind])
 
-    odd = sorted(set(manifest["spec"]) ^ SPEC_FIELDS)
-    if odd:
-        raise LqsolveError(f"{instance_dir / 'manifest.json'}: spec fields missing "
-                           f"or unknown: {', '.join(odd)}")
     return harness.GeneratedInstance(
-        spec=harness.InstanceSpec(**manifest["spec"]), A=read("matrix", read_array),
-        y=read("observation", read_vector), x_true=read("ground_truth", read_vector))
+        spec=spec, A=read("matrix", read_array), y=read("observation", read_vector),
+        x_true=read("ground_truth", read_vector))
 
 
 # ---------------------------------------------------------------------------
@@ -317,14 +342,16 @@ def _certify_problem(cfg, solution, inst):
     summary = solution.parent / "summary.json"
     solved = {}
     if summary.exists():
-        with open(summary) as fh:
-            solved = json.load(fh)["config"]
+        written = _read_json(summary)
+        with _blaming(summary):
+            solved = {name: float(value) for name, value in written["config"].items()
+                      if name in ("lam", "q", "mu")}
     sources = {}
     for name in ("lam", "q", "mu"):
         if cfg[name] is not None:
             source = "option"
         elif name in solved:
-            cfg[name], source = float(solved[name]), "summary.json"
+            cfg[name], source = solved[name], "summary.json"
         elif name == "mu":  # from the Fortran-ordered A the solver reads
             A = inst.problem(cfg["lam"], cfg["q"]).A
             cfg[name], source = solvers.default_mu("gaita", A), "default 0.95/L_max"
@@ -485,10 +512,7 @@ def _parse(parser, argv):
     args = _checked(parser.parse_args(argv))
     if getattr(args, "config", None) is None:
         return args
-    with open(args.config) as fh:
-        cfg = json.load(fh)
-    if not isinstance(cfg, dict):
-        raise LqsolveError(f"{args.config}: not a JSON object")
+    cfg = _read_json(args.config)
     sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     options = {a.dest: a for a in sub.choices[args.command]._actions
                if a.option_strings and a.dest != "help"}

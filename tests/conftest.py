@@ -13,10 +13,7 @@ order, in Python and numpy.
 
 import csv
 import hashlib
-import io
 import math
-import re
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,7 +21,7 @@ import pytest
 from lqsolve import solvers
 from lqsolve.core import (ProblemInstance, l_max, objective_from_residual,
                           spectral_norm_sq)
-from lqsolve.errors import InvalidInstance, LqsolveError
+from lqsolve.errors import InvalidInstance
 from lqsolve.harness import InstanceSpec, generate_instance
 from lqsolve.prox import TOL, ProxParams, stalled
 
@@ -341,26 +338,6 @@ def read_trace_csv(path):
     with open(path, newline="") as fh:
         header, *rows = csv.reader(fh)
     return tuple(header), [[float(v) for v in row] for row in rows]
-
-
-def loadtxt_read_array(path):
-    """cli.read_array with every body parsed by np.loadtxt: the same header
-    handling and messages, without the kernel's parser."""
-    data = Path(path).read_bytes()
-    if re.search(rb"\S", data) is None:
-        raise LqsolveError(f"{path}: the file is empty")
-    fh = io.BytesIO(data)
-    try:
-        rows, cols = (int(t) for t in fh.readline().split(b","))
-        if re.search(rb"\S", data[fh.tell():]) is None:
-            raise LqsolveError(f"{path}: header says {rows}x{cols}, "
-                               "but no data rows follow")
-        a = np.loadtxt(fh, delimiter=",", ndmin=2)
-    except ValueError as exc:
-        raise LqsolveError(f"{path}: {exc}") from None
-    if a.shape != (rows, cols):
-        raise LqsolveError(f"{path}: header says {rows}x{cols}, data is {a.shape}")
-    return a
 
 
 def small_problem(seed=0, m=20, n=40, k=4, lam=0.01, q=0.5, snr_db=None):

@@ -95,8 +95,8 @@ def test_criterion_03_sufficient_decrease():
         coeff = 0.5 * (1.0 / mu - lmax)
         config = SolverConfig(mu=mu)
         state = SolverState.initial(p, np.zeros(p.n))
-        for _ in range(400):  # sweeps
-            sweep_max = 0.0
+        for _ in range(400):  # sweeps, each ending as solvers._run ends it
+            x_before = state.x.copy()
             for _ in range(p.n):
                 i = state.n % p.n
                 new = gaita_update(state, p, config)
@@ -104,9 +104,8 @@ def test_criterion_03_sufficient_decrease():
                 checked += 1
                 if state.objective - new.objective < coeff * delta ** 2 - 1e-9:
                     violations += 1
-                sweep_max = max(sweep_max, abs(delta))
                 state = new
-            if sweep_max <= 1e-10:
+            if np.linalg.norm(state.x - x_before) <= 1e-10:
                 break
     verdict(3, "sufficient-decrease", violations == 0,
             f"{violations} violations in {checked} updates")

@@ -1,8 +1,10 @@
 import argparse
+import ctypes
 import json
 import locale
 import math
 import os
+import shutil
 import subprocess
 import sys
 import warnings
@@ -11,11 +13,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from lqsolve import _csweep, cli, harness, solvers
 from lqsolve.errors import LqsolveError
 
-from conftest import loadtxt_read_array, read_trace_csv
+from conftest import read_trace_csv
 
 
 def run_cli(*argv):
@@ -48,6 +52,31 @@ def opened_files():
 GEN_SMALL = ("gen", "--m", "20", "--n", "40", "--k", "3", "--seed", "7")
 
 
+_END_OF_ROW = "expected a finite number, then the end of the row, found"
+# each body, with the array it reads to or its one-line message after the path
+ARRAY_BODIES = [
+    ("2,2\n1.5,-2e-07\n3.0,0.1\n", [[1.5, -2e-07], [3.0, 0.1]]),
+    ("2,2\r\n1.0,2.0\r\n3.0,4.0\r\n", [[1.0, 2.0], [3.0, 4.0]]),
+    ("2,2\n1.0,2.0\n\n3.0,4.0\n", [[1.0, 2.0], [3.0, 4.0]]),
+    ("1,2\n 1.0,2.0\n", [[1.0, 2.0]]),
+    ("1,2\n1.0 ,2.0\n", [[1.0, 2.0]]),
+    ("1,1\n\t1.0\t\n", [[1.0]]),
+    ("1,1\n1.0\n\n \r\n\t\n", [[1.0]]),
+    ("2,1\n-0.0\n1e-400", [[-0.0], [0.0]]),
+    ("1,1\n+1.5\n", [[1.5]]),
+    ("1,1\n" + "1" * 63 + "\n", [[float("1" * 63)]]),
+    ("", "the file is empty"),
+    ("5\n1.0\n", "the first line is not 'rows,cols'"),
+    ("2,2\n1.0,2.0\n", "row 2, field 1: expected a finite number, then a comma, found ''"),
+    ("1,2\n1.0,abc\n", f"row 1, field 2: {_END_OF_ROW} 'abc'"),
+    ("1,2\n1.0,2.0,3.0\n", f"row 1, field 2: {_END_OF_ROW} '2.0,3.0'"),
+    ("1,2\n1.0,\n", f"row 1, field 2: {_END_OF_ROW} ''"),
+    *((f"1,1\n{bad}\n", f"row 1, field 1: {_END_OF_ROW} {bad[:40]!r}")
+      for bad in ("0x1p3", "inf", "nan", "1e999", "1_0", "1" * 64)),
+    ("2,1\n1\n2\n3\n", "row 3, field 1: expected the end of the data, found '3'"),
+]
+
+
 class TestArrayIO:
     def test_matrix_round_trip(self, tmp_path, rng):
         a = rng.standard_normal((7, 5))
@@ -62,45 +91,68 @@ class TestArrayIO:
         cli.write_vector(path, v)
         assert np.array_equal(cli.read_vector(path), v)
 
-    def test_header_mismatch_detected(self, tmp_path):
-        # a short body, a one-field header, a non-number, an empty file
-        for k, text in enumerate(("2,2\n1.0,2.0\n", "5\n1.0\n", "1,2\n1.0,abc\n", "")):
-            path = tmp_path / f"bad{k}.csv"
-            path.write_text(text)
-            with pytest.raises(LqsolveError) as err:
-                cli.read_array(path)
-            assert str(err.value).startswith(f"{path}: ")
-
-    # every body of test_header_mismatch_detected, then an extra field,
-    # CRLF, a blank line, a leading blank, a hex float, inf, an underscore,
-    # a valid file without its last newline, and an empty field
-    ODD_BODIES = ("2,2\n1.0,2.0\n", "5\n1.0\n", "1,2\n1.0,abc\n", "",
-                  "1,2\n1.0,2.0,3.0\n", "2,2\r\n1.0,2.0\r\n3.0,4.0\r\n",
-                  "2,2\n1.0,2.0\n\n3.0,4.0\n", "1,2\n 1.0,2.0\n", "1,1\n0x1p3\n",
-                  "1,1\ninf\n", "1,1\n1_0\n", "2,1\n-0.0\n1e-400", "1,2\n1.0,\n")
-
-    # the ODD_BODIES, and one body in write_array's exact form
-    @pytest.mark.parametrize("text", ODD_BODIES + ("2,2\n1.5,-2e-07\n3.0,0.1\n",))
-    def test_kernel_and_loadtxt_read_alike(self, text, tmp_path):
-        # the kernel parses only write_array's exact form and leaves any
-        # other file to np.loadtxt, so each file ends as np.loadtxt ends it
+    @pytest.mark.parametrize("text,want", ARRAY_BODIES, ids=[t for t, _ in ARRAY_BODIES])
+    def test_body_reads_as_expected(self, text, want, tmp_path, instance_dir, capsys):
         path = tmp_path / "a.csv"
         path.write_bytes(text.encode())
+        if isinstance(want, list):
+            assert cli.read_array(path).tobytes() == np.array(want).tobytes()
+            return
+        with pytest.raises(LqsolveError) as err:
+            cli.read_array(path)
+        assert str(err.value) == f"{path}: {want}"
+        assert run_cli("certify", "--instance-dir", str(instance_dir), "--solution",
+                       str(path), "--out-dir", str(tmp_path / "out"), "--quiet") == 2
+        assert capsys.readouterr().err == f"error: {path}: {want}\n"
 
-        def outcome(read):
-            try:
-                return read(path).tobytes()
-            except Exception as exc:
-                return type(exc), str(exc)
 
-        assert outcome(cli.read_array) == outcome(loadtxt_read_array)
+@st.composite
+def _array_files(draw):
+    """(rows, cols, body): lines of fields that are reprs of floats or runs
+    of the characters an array file holds, or of those and a few letters,
+    split mostly by commas, under a header that may miscount them."""
+    field = st.one_of(st.floats(allow_nan=False, allow_infinity=False).map(repr),
+                      st.text("0123456789+-.eE", min_size=1, max_size=8),
+                      st.text("0123456789+-.eE,\n\r \tainfx", max_size=8))
+    pad, sep = st.sampled_from(["", "", " ", "\t"]), st.sampled_from([",", ",", " "])
+    lines = draw(st.lists(st.lists(field, min_size=1, max_size=3), min_size=1, max_size=4))
+    body = ""
+    for line in lines:
+        body += "".join((draw(sep) if k else "") + draw(pad) + f + draw(pad)
+                        for k, f in enumerate(line))
+        body += draw(st.sampled_from(["\n", "\r\n", "\n\n", "\n \t\n", ""]))
+    rows, cols = (draw(st.sampled_from([max(1, n - 1), n, n + 1]))
+                  for n in (len(lines), len(lines[0])))
+    return rows, cols, body
+
+
+@settings(max_examples=400, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=_array_files())
+def test_read_array_reads_floats_or_names_the_path(case, tmp_path):
+    # read_array returns each field as float() reads it, or fails with one
+    # line that starts with the path; the body need not end in a newline
+    rows, cols, body = case
+    path = tmp_path / "a.csv"
+    path.write_bytes(f"{rows},{cols}\n{body}".encode())
+    try:
+        a = cli.read_array(path)
+    except LqsolveError as exc:
+        assert str(exc).startswith(f"{path}: ") and "\n" not in str(exc)
+        return
+    fields = [f.strip(" \t\r") for line in body.split("\n") if line.strip(" \t\r")
+              for f in line.split(",")]
+    want = np.array([float(f) for f in fields])
+    assert np.isfinite(want).all() and a.shape == (rows, cols)
+    assert a.tobytes() == want.tobytes()
 
 
 def _lq_parse_column(tokens):
     """The tokens parsed by the kernel as one column; it must take them all."""
     body = ("\n".join(tokens) + "\n").encode()
     out = np.empty(len(tokens))
-    assert _csweep.lq_parse(body, len(body), 0, len(tokens), 1, out.ctypes.data) == 1
+    pos = ctypes.c_int64(0)
+    assert _csweep.lq_parse(body, len(body), pos, len(tokens), 1, out.ctypes.data) == -1
     return out
 
 
@@ -137,29 +189,29 @@ def test_lq_parse_matches_float_bit_for_bit():
     assert [tokens[i] for i in wrong[:5]] == []
 
 
-def test_read_array_ignores_a_decimal_comma_locale(tmp_path, rng):
-    # strtod reads LC_NUMERIC's decimal point, np.loadtxt does not; under a
-    # locale whose point is not "." the file must read to the same bits
-    path = tmp_path / "a.csv"
+def test_read_array_ignores_a_decimal_comma_locale(tmp_path, rng, monkeypatch):
+    # strtod reads LC_NUMERIC's decimal point; under de_DE, whose point is
+    # ",", a file must read to the same bits.  glibc's setlocale looks for
+    # locales in LOCPATH at each call, so de_DE is built there.
+    localedef = shutil.which("localedef")
+    if localedef is None or not Path("/usr/share/i18n/locales/de_DE").exists():
+        pytest.skip("localedef or the de_DE locale source is missing")
+    subprocess.run([localedef, "-i", "de_DE", "-f", "UTF-8",
+                    str(tmp_path / "de_DE.UTF-8")], check=True, timeout=60)
+    monkeypatch.setenv("LOCPATH", str(tmp_path))
+    path, relaxed = tmp_path / "a.csv", tmp_path / "b.csv"
     a = rng.standard_normal((6, 4)) * 1e-30
     cli.write_array(path, a)
+    relaxed.write_bytes(b"2,2\r\n\r\n 1.5 ,\t-2.25\r\n\r\n0.125,3\r\n")
     saved = locale.setlocale(locale.LC_NUMERIC)
-    for name in ("de_DE.UTF-8", "de_DE.utf8", "fr_FR.UTF-8", "fr_FR.utf8",
-                 "ru_RU.UTF-8", "nl_NL.UTF-8", "de_DE", "fr_FR"):
-        try:
-            locale.setlocale(locale.LC_NUMERIC, name)
-        except locale.Error:
-            continue
-        if locale.localeconv()["decimal_point"] != ".":
-            break
-    else:
-        locale.setlocale(locale.LC_NUMERIC, saved)
-        pytest.skip("no installed locale has a decimal point other than '.'")
     try:
-        got = cli.read_array(path)
+        locale.setlocale(locale.LC_NUMERIC, "de_DE.UTF-8")
+        assert locale.str(1.5) == "1,5"
+        got, got_relaxed = cli.read_array(path), cli.read_array(relaxed)
     finally:
         locale.setlocale(locale.LC_NUMERIC, saved)
     assert got.tobytes() == a.tobytes()
+    assert got_relaxed.tolist() == [[1.5, -2.25], [0.125, 3.0]]
 
 
 class TestGen:
@@ -421,6 +473,38 @@ class TestExitCodes:
             err = capsys.readouterr().err
             assert ("extra" if "extra" in spec else "seed") in err
             assert "Traceback" not in err
+
+    @pytest.mark.parametrize("probe", ["malformed-config", "manifest-without-files",
+                                       "manifest-spec-m-not-a-number", "summary-a-list",
+                                       "summary-without-config"])
+    def test_json_inputs_name_their_file(self, probe, tmp_path, instance_dir, capsys):
+        # each JSON file the CLI reads, spoilt: exit 2 and one line naming it
+        manifest_path = instance_dir / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        run_dir = tmp_path / "run"
+        command = ("solve", "--instance-dir", str(instance_dir),
+                   "--out-dir", str(run_dir), "--quiet")
+        if probe == "malformed-config":
+            bad = tmp_path / "cfg.json"
+            bad.write_text('{"lam":\n')
+            command += ("--config", str(bad))
+        elif probe.startswith("manifest"):
+            bad = manifest_path
+            if probe == "manifest-without-files":
+                del manifest["files"]
+            else:
+                manifest["spec"]["m"] = "x"
+            bad.write_text(json.dumps(manifest))
+        else:
+            assert run_cli(*command, "--max-sweeps", "5") == 0
+            bad = run_dir / "summary.json"
+            bad.write_text("[1]" if probe == "summary-a-list" else "{}")
+            command = ("certify", "--instance-dir", str(instance_dir), "--solution",
+                       str(run_dir / "solution.csv"), "--out-dir", str(tmp_path / "cert"),
+                       "--quiet")
+        assert run_cli(*command) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith(f"error: {bad}: ")
 
     def test_negative_lam(self, tmp_path, instance_dir, capsys):
         code = run_cli("solve", "--instance-dir", str(instance_dir),

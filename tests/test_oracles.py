@@ -6,11 +6,10 @@ import conftest
 
 # the oracles the kernel is compared with bit for bit
 ORACLES = ("solve_inverse", "prox_oracle", "prox_vector_oracle", "lane_dot",
-           "coordinate_step", "gaita_update", "sweep_oracle", "plain_run",
-           "loadtxt_read_array")
+           "coordinate_step", "gaita_update", "sweep_oracle", "plain_run")
 # the kernel's handles, and the library names that call them
 KERNEL = {"_csweep", "lq_sweep", "lq_prox", "lq_parse", "prox_vector",
-          "prox_scalar", "_sweep", "read_array", "_parse_exact"}
+          "prox_scalar", "_sweep", "read_array"}
 
 
 def names(node):
