@@ -11,9 +11,8 @@ from .core import (ProblemInstance, column_norms_sq, l_max,
 from .diagnostics import (LocalMinCertificate, StationarityReport,
                           certify_local_min, check_relative_error,
                           check_stationary, check_update_optimality)
-from .errors import (AsymmetricMatrix, ConvergenceFailure, CorruptFile,
-                     DimensionMismatch, InvalidInstance, LqsolveError,
-                     NotStationary)
+from .errors import (AsymmetricMatrix, CorruptFile, DimensionMismatch,
+                     InvalidInstance, LqsolveError, NotStationary)
 from .harness import (ExperimentResult, GeneratedInstance, InstanceSpec,
                       add_noise_snr, generate_instance, rmse, run_experiment)
 from .prox import ProxParams, prox_scalar, prox_vector

@@ -77,9 +77,10 @@ def load():
     except OSError as exc:
         raise Unavailable(f"cannot load {target.name}: {exc}") from None
     sweep, prox, parse = lib.lq_sweep, lib.lq_prox, lib.lq_parse
-    sweep.restype = prox.restype = parse.restype = ctypes.c_int64
+    sweep.restype = parse.restype = ctypes.c_int64
+    prox.restype = None
     sweep.argtypes = ([ctypes.c_int64] * 2 + [ctypes.c_void_p] * 3
-                      + [ctypes.c_double] * 6 + [ctypes.c_void_p] * 2)
+                      + [ctypes.c_double] * 6 + [ctypes.c_void_p])
     prox.argtypes = ([ctypes.c_int64] + [ctypes.c_void_p] * 2
                      + [ctypes.c_double] * 5 + [ctypes.c_void_p])
     # a bytes argument passes its own buffer, not a copy

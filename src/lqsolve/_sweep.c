@@ -6,15 +6,16 @@
  * The sweep calls no BLAS: its column dot product and rank-1 residual
  * update are here, so its bits depend on neither the BLAS library nor the
  * CPU.  The prox root-finder works in closed form at q = 1/2 and q = 2/3
- * and by Newton to prox.TOL at any other q, operation for operation as
- * the Python oracles in the tests' conftest.py do, so the two give the
- * same bits: sqrt rounds correctly everywhere, and Python's math module
- * calls the same libm cbrt, acos, cos and pow.  The dot product and the
- * residual update run in AVX-512 or AVX2 lanes where the CPU has them,
- * with the same bits in every clone: each lane multiplies and adds once,
- * rounding each, in an order fixed by the source.  Build without
- * fast-math, so that no sum is reordered, and with -ffp-contract=off: a
- * fused multiply-add changes the rounding.
+ * and by Newton at any other q, which stops within prox.TOL or at the
+ * first step that does not descend, and so cannot fail.  It runs
+ * operation for operation as the Python oracles in the tests' conftest.py
+ * do, so the two give the same bits: sqrt rounds correctly everywhere,
+ * and Python's math module calls the same libm cbrt, acos, cos and pow.
+ * The dot product and the residual update run in AVX-512 or AVX2 lanes
+ * where the CPU has them, with the same bits in every clone: each lane
+ * multiplies and adds once, rounding each, in an order fixed by the
+ * source.  Build without fast-math, so that no sum is reordered, and with
+ * -ffp-contract=off: a fused multiply-add changes the rounding.
  */
 #define _GNU_SOURCE   /* strtod_l */
 #include <float.h>
@@ -55,59 +56,44 @@ static double closed_form(double z_abs, double c, double q)
     return NAN;
 }
 
-/* Root of v + c*q*v^(q-1) = z_abs on [eta, z_abs]; 0 when it stalls. */
-static int nonzero_root(double z_abs, double c, double q, double eta,
-                        double tol, double *root)
+/* The root of g(v) = v + c*q*v^(q-1) = z_abs on [eta, z_abs], z_abs > tau.
+ * g is increasing and convex there (g'(eta) = 1 - q/2 > 0, g'' > 0), so
+ * Newton from v = z_abs descends onto the root: a step that does not
+ * descend comes only from rounding, a NaN or an infinity, and ends the
+ * loop.  An infinite z_abs takes a NaN step at once: its root is infinite. */
+static double nonzero_root(double z_abs, double c, double q, double eta,
+                           double tol)
 {
     double v = closed_form(z_abs, c, q);
-    if (isfinite(v)) {   /* rounding may leave it an ulp outside [eta, z_abs] */
-        *root = v < eta ? eta : v > z_abs ? z_abs : v;
-        return 1;
+    if (!isfinite(v)) {
+        v = z_abs;
+        for (int it = 0; it < 200; it++) {
+            double g = (v + c * q * pow(v, q - 1.0)) - z_abs;
+            if (fabs(g) <= tol)
+                break;
+            double v_new = v - g / (1.0 + c * q * (q - 1.0) * pow(v, q - 2.0));
+            if (fabs(v_new - v) <= tol) {
+                v = v_new;
+                break;
+            }
+            if (!(v_new < v))
+                break;
+            v = v_new;
+        }
     }
-    double lo = eta, hi = z_abs;
-    v = z_abs;
-    for (int it = 0; it < 200; it++) {
-        double g = (v + c * q * pow(v, q - 1.0)) - z_abs;
-        if (fabs(g) <= tol) {
-            *root = v;
-            return 1;
-        }
-        if (g > 0.0)
-            hi = v;
-        else
-            lo = v;
-        double gp = 1.0 + c * q * (q - 1.0) * pow(v, q - 2.0);
-        double v_new = 0.0;
-        int step_ok = gp > 0.0;
-        if (step_ok) {
-            v_new = v - g / gp;
-            step_ok = lo <= v_new && v_new <= hi;
-        }
-        if (!step_ok)
-            v_new = 0.5 * (lo + hi);
-        if (fabs(v_new - v) <= tol) {
-            *root = v_new;
-            return 1;
-        }
-        v = v_new;
-    }
-    return 0;
+    /* rounding may leave the root an ulp outside [eta, z_abs] */
+    return v < eta ? eta : v > z_abs ? z_abs : v;
 }
 
-/* prox_scalar(z, x_prev) into *xi, NaN included; 0 when the root-finder
- * stalls.  At |z| == tau the tie goes to eta exactly when x_prev != 0. */
-static int threshold(double z, double x_prev, double c, double q, double tau,
-                     double eta, double tol, double *xi)
+/* prox_scalar(z, x_prev), NaN included.  At |z| == tau the tie goes to eta
+ * exactly when x_prev != 0. */
+static double threshold(double z, double x_prev, double c, double q, double tau,
+                        double eta, double tol)
 {
-    double z_abs = fabs(z), v;
-    if (z_abs > tau) {
-        if (!nonzero_root(z_abs, c, q, eta, tol, &v))
-            return 0;
-        *xi = copysign(v, z);
-    } else {
-        *xi = z_abs < tau || x_prev == 0.0 ? 0.0 : copysign(eta, z);
-    }
-    return 1;
+    double z_abs = fabs(z);
+    if (z_abs > tau)
+        return copysign(nonzero_root(z_abs, c, q, eta, tol), z);
+    return z_abs < tau || x_prev == 0.0 ? 0.0 : copysign(eta, z);
 }
 
 /* Screening.  A coordinate with x_i == 0 stays at 0 when |z| <= tau, and
@@ -194,13 +180,11 @@ static void residual_update(int64_t m, double d, const double *col, double *r)
 
 /* Sweep the n columns of the column-major m x n matrix a, updating x and
  * the residual r = a x - y in place, with st the screening state
- * described above.  out[1] receives the number of columns that screening
- * skipped.  Returns -1, or the index of the coordinate whose prox
- * stalled, with its |z| in out[0]; the coordinates before it are already
- * updated, as in the oracle sweep. */
+ * described above.  Returns the number of columns that screening
+ * skipped. */
 int64_t lq_sweep(int64_t m, int64_t n, const double *a, double *x, double *r,
                  double mu, double c, double q, double tau, double eta,
-                 double tol, double *out, double *st)
+                 double tol, double *st)
 {
     double *norm = st, *bound = st + n, *at = st + 2 * n;
     /* r moves by at most `moved` within this call; ||r|| <= r1 + moved */
@@ -219,14 +203,10 @@ int64_t lq_sweep(int64_t m, int64_t n, const double *a, double *x, double *r,
             continue;
         }
         double dot = column_dot(m, col, r);
-        double z = x[i] - mu * dot, xi;
+        double z = x[i] - mu * dot;
         bound[i] = (fabs(dot) + err) * (1.0 + slack);
         at[i] = moved;
-        if (!threshold(z, x[i], c, q, tau, eta, tol, &xi)) {
-            out[0] = fabs(z);
-            return i;
-        }
-        double d = xi - x[i];
+        double xi = threshold(z, x[i], c, q, tau, eta, tol), d = xi - x[i];
         if (d != 0.0) {
             residual_update(m, d, col, r);
             x[i] = xi;
@@ -237,19 +217,15 @@ int64_t lq_sweep(int64_t m, int64_t n, const double *a, double *x, double *r,
     }
     memcpy(st + 3 * n, r, (size_t)m * sizeof(double));   /* r_end, moved */
     st[3 * n + m] = moved;
-    out[1] = (double)skipped;
-    return -1;
+    return skipped;
 }
 
-/* out[i] = prox_scalar(z[i], x_prev[i]) for i < n.  Returns -1, or the
- * index whose root-find stalled. */
-int64_t lq_prox(int64_t n, const double *z, const double *x_prev, double c,
-                double q, double tau, double eta, double tol, double *out)
+/* out[i] = prox_scalar(z[i], x_prev[i]) for i < n. */
+void lq_prox(int64_t n, const double *z, const double *x_prev, double c,
+             double q, double tau, double eta, double tol, double *out)
 {
     for (int64_t i = 0; i < n; i++)
-        if (!threshold(z[i], x_prev[i], c, q, tau, eta, tol, &out[i]))
-            return i;
-    return -1;
+        out[i] = threshold(z[i], x_prev[i], c, q, tau, eta, tol);
 }
 
 /* Array files.  cli.write_array writes fields of at most 24 characters of

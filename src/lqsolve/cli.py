@@ -54,6 +54,8 @@ def write_array(path, a):
 
 
 _NON_BLANK = re.compile(rb"\S")
+# the blanks the body allows around a field, and ASCII digits only
+_HEADER = re.compile(rb"[ \t\r]*([0-9]+)[ \t\r]*,[ \t\r]*([0-9]+)[ \t\r]*\n?")
 
 
 def read_array(path, sha256=None):
@@ -70,10 +72,10 @@ def read_array(path, sha256=None):
         raise LqsolveError(f"{path}: the file is empty")
     newline = data.find(b"\n")
     body = len(data) if newline < 0 else newline + 1
-    try:
-        rows, cols = (int(t) for t in data[:body].split(b","))
-    except ValueError:
-        raise LqsolveError(f"{path}: the first line is not 'rows,cols'") from None
+    header = _HEADER.fullmatch(data, 0, body)
+    if header is None:
+        raise LqsolveError(f"{path}: the first line is not 'rows,cols'")
+    rows, cols = (int(t) for t in header.groups())
     if _NON_BLANK.search(data, body) is None:
         raise LqsolveError(f"{path}: header says {rows}x{cols}, but no data rows follow")
     # every field takes a byte at least, so this also bounds the allocation
@@ -176,15 +178,22 @@ def load_instance(instance_dir):
             raise LqsolveError(f"{path}: spec fields missing or unknown: "
                                f"{', '.join(odd)}")
         spec = harness.InstanceSpec(**manifest["spec"])
+        if manifest["spec_hash"] != _spec_hash(dataclasses.asdict(spec)):
+            raise LqsolveError(f"{path}: spec_hash is not the hash of its spec")
 
     def read(kind, reader):
         if recorded[kind] is None:
             raise CorruptFile(f"{files[kind]}: manifest.json records no sha256 for it")
         return reader(files[kind], recorded[kind])
 
-    return harness.GeneratedInstance(
+    inst = harness.GeneratedInstance(
         spec=spec, A=read("matrix", read_array), y=read("observation", read_vector),
         x_true=read("ground_truth", read_vector))
+    (m, n), sizes = inst.A.shape, (inst.y.size, inst.x_true.size)
+    if (m, n, *sizes) != (spec.m, spec.n, spec.m, spec.n):
+        raise LqsolveError(f"{path}: its spec says m={spec.m}, n={spec.n}, but the "
+                           f"arrays are {m}x{n}, {sizes[0]} and {sizes[1]} long")
+    return inst
 
 
 # ---------------------------------------------------------------------------
@@ -241,15 +250,17 @@ def cmd_solve(args):
     out_dir = _out_dir(args)
     out_dir.mkdir(parents=True, exist_ok=True)
     trace.to_csv(out_dir / "trace.csv")
-    report = diagnostics.check_stationary(p, state.x, mu)
     summary = {
         "config": dict(_config(args), mu=mu),
         "flags": trace.flags,
         "final_objective": state.objective,
-        "final_rmse": harness.rmse(state.x, sconf.reference)
+        # the last row records the final x, with harness.rmse's bits
+        "final_rmse": float(trace.column("rmse")[-1])
         if sconf.reference is not None else None,
         "support_size": int(np.count_nonzero(state.x)),
-        "stationarity": report.to_dict(),
+        # an overflowed run's x holds an infinity and has no stationarity
+        "stationarity": diagnostics.check_stationary(p, state.x, mu).to_dict()
+        if np.all(np.isfinite(state.x)) else None,
     }
     _write_json(out_dir / "summary.json", summary)
     write_vector(out_dir / "solution.csv", state.x)
@@ -318,19 +329,15 @@ def cmd_sweep(args):
 
 def cmd_prox_eval(args):
     params = ProxParams(c=args.lambda_mu, q=args.q)
-    tau, eta = params.tau, params.eta
-    rows = []  # all of them before any is printed: a stalled z prints no table
-    for z in args.z:
-        if abs(z) == tau:
-            nonzero = prox_scalar(z, 1.0, params)
-            zero = prox_scalar(z, 0.0, params)
-            rows.append(f"{format_float(z)},{format_float(nonzero)} (x_prev!=0) / "
-                        f"{format_float(zero)} (x_prev=0)")
-        else:
-            rows.append(f"{format_float(z)},{format_float(prox_scalar(z, 0.0, params))}")
-    print(f"q={args.q:g} c={args.lambda_mu:g} tau={tau!r} eta={eta!r}")
+    print(f"q={args.q:g} c={args.lambda_mu:g} tau={params.tau!r} eta={params.eta!r}")
     print("z,prox")
-    print("\n".join(rows))
+    for z in args.z:
+        zero = format_float(prox_scalar(z, 0.0, params))
+        if abs(z) == params.tau:
+            nonzero = format_float(prox_scalar(z, 1.0, params))
+            print(f"{format_float(z)},{nonzero} (x_prev!=0) / {zero} (x_prev=0)")
+        else:
+            print(f"{format_float(z)},{zero}")
     return EXIT_OK
 
 

@@ -9,10 +9,6 @@ class DimensionMismatch(LqsolveError, ValueError):
     """Operands have incompatible shapes."""
 
 
-class ConvergenceFailure(LqsolveError, RuntimeError):
-    """An iterative routine failed to converge (the prox root-finder stalled)."""
-
-
 class AsymmetricMatrix(LqsolveError, ValueError):
     """A matrix required to be symmetric is not, beyond tolerance."""
 

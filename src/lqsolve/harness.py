@@ -160,6 +160,7 @@ def _resolve(defaults, overrides):
     return cfg
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflowed x's RMSE is inf
 def _solve(alg, p, mu, x_true, **config):
     """Run one solver from zero under SolverConfig(mu, **config)."""
     run = gaita_run if alg == "gaita" else jaita_run
@@ -170,7 +171,9 @@ def _solve(alg, p, mu, x_true, **config):
         converged=trace.flags["converged"],
         diverged=trace.flags["diverged"],
         final_objective=state.objective,
-        final_rmse=rmse(state.x, x_true) if np.any(x_true) else None,
+        # rmse's bits, unchecked: an overflowed run's x may hold an infinity
+        final_rmse=(_rmse_vs(state.x, x_true, np.linalg.norm(x_true))
+                    if np.any(x_true) else None),
         objective_trace=[float(v) for v in trace.column("objective")],
         trace=trace,
         final_x=state.x.copy(),

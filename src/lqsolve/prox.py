@@ -15,10 +15,11 @@ At |z| == tau both branches minimize; the tie goes to the nonzero branch
 exactly when the previous value of that coordinate was nonzero.  Outputs
 are therefore always either 0 or at least eta in magnitude.
 
-At q = 1/2 and q = 2/3 the root has a closed form; at any other q a
-safeguarded Newton iteration finds it to the fixed tolerance TOL.  Both
-run in the C kernel, _sweep.c; the Python root-finder in the tests'
-conftest.py is the oracle it is checked against bit for bit.
+At q = 1/2 and q = 2/3 the root has a closed form; at any other q,
+Newton's method descends onto it from |z| and stops within the fixed
+tolerance TOL or at the first step that does not descend, so it cannot
+fail.  Both run in the C kernel, _sweep.c; the Python root-finder in the
+tests' conftest.py is the oracle it is checked against bit for bit.
 """
 
 from dataclasses import dataclass
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _csweep
-from .errors import ConvergenceFailure, DimensionMismatch, InvalidInstance
+from .errors import DimensionMismatch, InvalidInstance
 
 TOL = 1e-12  # on |g(v) - z_abs| and on the Newton step
 
@@ -51,11 +52,6 @@ class ProxParams:
         object.__setattr__(self, "tau", tau)
 
 
-def stalled(z_abs):
-    """The error raised when the root-finder fails at z_abs."""
-    return ConvergenceFailure(f"prox root-finder stalled at z_abs={z_abs:g}")
-
-
 def prox_scalar(z, x_prev, params):
     """Single-valued thresholding of z, with x_prev breaking the tie at tau."""
     return float(prox_vector(z, x_prev, params))
@@ -70,9 +66,6 @@ def prox_vector(z, x_prev, params):
         raise DimensionMismatch(
             f"z and x_prev must match, got {z.shape} vs {x_prev.shape}")
     out = np.empty_like(z)
-    failed = _csweep.lq_prox(z.size, z.ctypes.data, x_prev.ctypes.data,
-                             params.c, params.q, params.tau, params.eta, TOL,
-                             out.ctypes.data)
-    if failed >= 0:
-        raise stalled(abs(float(z.flat[failed])))
+    _csweep.lq_prox(z.size, z.ctypes.data, x_prev.ctypes.data, params.c,
+                    params.q, params.tau, params.eta, TOL, out.ctypes.data)
     return out

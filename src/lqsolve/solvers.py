@@ -28,7 +28,7 @@ import numpy as np
 from . import _csweep, core, prox
 from .core import format_float, objective_from_residual, write_rows
 from .errors import DimensionMismatch, InvalidInstance
-from .prox import ProxParams, prox_vector, stalled
+from .prox import ProxParams, prox_vector
 
 DIVERGENCE_FACTOR = 1e6
 
@@ -151,8 +151,8 @@ def _sweep(A, x, r, mu, params):
     returned function always sweeps these very arrays, so a caller must
     change x and r only in place, never replace them with new arrays.
     The binding owns the kernel's screening state for A, which carries
-    from sweep to sweep.  After each sweep, the function's ``out[1]``
-    holds the number of columns that screening skipped.
+    from sweep to sweep.  The function returns the number of columns
+    that screening skipped.
     """
     if A.dtype != np.float64 or A.ndim != 2 or not A.flags.f_contiguous:
         raise InvalidInstance("the C sweep needs a Fortran-ordered float64 matrix")
@@ -168,18 +168,15 @@ def _sweep(A, x, r, mu, params):
     state = np.zeros(3 * n_dim + m + 1)  # layout in _sweep.c
     state[:n_dim] = np.linalg.norm(A, axis=0) * (1.0 + 1e-10)  # rounded up
     state[n_dim:2 * n_dim] = np.inf  # no dot product computed yet
-    out = np.zeros(2)
     lq_sweep = _csweep.lq_sweep
     args = (m, n_dim, A.ctypes.data, x.ctypes.data, r.ctypes.data,
             mu, params.c, params.q, params.tau, params.eta, prox.TOL,
-            out.ctypes.data, state.ctypes.data)
+            state.ctypes.data)
 
     def sweep():
-        if lq_sweep(*args) >= 0:
-            raise stalled(out[0])
+        return lq_sweep(*args)
 
     sweep.arrays = (A, x, r, state)  # keeps the memory behind the pointers alive
-    sweep.out = out
     return sweep
 
 

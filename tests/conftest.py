@@ -23,7 +23,7 @@ from lqsolve.core import (ProblemInstance, l_max, objective_from_residual,
                           spectral_norm_sq)
 from lqsolve.errors import InvalidInstance
 from lqsolve.harness import InstanceSpec, generate_instance
-from lqsolve.prox import TOL, ProxParams, stalled
+from lqsolve.prox import TOL, ProxParams
 
 
 def grid_prox_oracle(z, c, q, resolution=1e-4):
@@ -140,43 +140,35 @@ def _closed_form(z_abs, c, q):
 def solve_inverse(z_abs, params):
     """Root of g(v) = v + c*q*v^(q-1) = z_abs on [eta, z_abs].
 
-    At q = 1/2 and q = 2/3 the root is the closed form, kept inside
-    [eta, z_abs] against rounding.  Elsewhere, and where the closed form
-    overflows, Newton runs: g is strictly increasing and convex on the
-    bracket (g'(eta) = 1 - q/2 > 0), so a Newton iteration started at the
-    right end descends monotonically onto the root, to prox.TOL; a
-    bisection safeguard keeps it inside the bracket regardless.  An
-    infinite z_abs has no root, and the iteration stalls.  Requires
-    z_abs >= tau, i.e. g(eta) <= z_abs.  _sweep.c's nonzero_root.
+    At q = 1/2 and q = 2/3 the root is the closed form.  Elsewhere, and
+    where the closed form overflows, Newton runs from the right end: g is
+    strictly increasing and convex on [eta, z_abs] (g'(eta) = 1 - q/2 > 0),
+    so the iteration descends onto the root.  It stops within prox.TOL, or
+    at the first step that does not descend, which only rounding, a NaN or
+    an infinity can give: an infinite z_abs takes a NaN step at once and
+    returns itself.  Either root is kept inside [eta, z_abs] against
+    rounding.  Requires z_abs >= tau, i.e. g(eta) <= z_abs.  _sweep.c's
+    nonzero_root.
     """
     c, q, eta = params.c, params.q, params.eta
     if z_abs < params.tau:
         raise InvalidInstance(
             f"solve_inverse needs z_abs >= tau ({params.tau:g}), got {z_abs:g}")
     v = _closed_form(z_abs, c, q)
-    if math.isfinite(v):
-        return min(max(v, eta), z_abs)
-    lo, hi = eta, z_abs
-    v = z_abs
-    for _ in range(200):
-        g = v + c * q * v ** (q - 1.0) - z_abs
-        if abs(g) <= TOL:
-            return v
-        if g > 0.0:
-            hi = v
-        else:
-            lo = v
-        gp = 1.0 + c * q * (q - 1.0) * v ** (q - 2.0)
-        step_ok = gp > 0.0
-        if step_ok:
-            v_new = v - g / gp
-            step_ok = lo <= v_new <= hi
-        if not step_ok:
-            v_new = 0.5 * (lo + hi)
-        if abs(v_new - v) <= TOL:
-            return v_new
-        v = v_new
-    raise stalled(z_abs)
+    if not math.isfinite(v):
+        v = z_abs
+        for _ in range(200):
+            g = v + c * q * v ** (q - 1.0) - z_abs
+            if abs(g) <= TOL:
+                break
+            v_new = v - g / (1.0 + c * q * (q - 1.0) * v ** (q - 2.0))
+            if abs(v_new - v) <= TOL:
+                v = v_new
+                break
+            if not v_new < v:
+                break
+            v = v_new
+    return min(max(v, eta), z_abs)
 
 
 def prox_oracle(z, x_prev, params):
@@ -249,8 +241,8 @@ def sweep_oracle(A, x, r, mu, params):
 
     It computes every coordinate: skipping one that screening proves stays
     zero, as the kernel does, gives the same bits.  Floating-point warnings
-    are silenced, as in C: a non-finite forward step ends in the same
-    ConvergenceFailure.
+    are silenced, as in C: a forward step that overflows thresholds to an
+    infinite x[i], as in the kernel.
     """
     def sweep():
         with np.errstate(over="ignore", invalid="ignore"):

@@ -38,7 +38,7 @@ def _audit_open(event, args):
 @pytest.fixture
 def opened_files():
     """Names of the files opened during the test.  An audit hook sees every
-    way of opening a file; it cannot be removed, so it stays installed and
+    way of opening a file; it cannot be removed, so it stays in place and
     idle outside this fixture."""
     global _opened, _hooked
     if not _hooked:
@@ -67,6 +67,10 @@ ARRAY_BODIES = [
     ("1,1\n" + "1" * 63 + "\n", [[float("1" * 63)]]),
     ("", "the file is empty"),
     ("5\n1.0\n", "the first line is not 'rows,cols'"),
+    # the header takes ASCII digits and the body's blanks, nothing int() adds
+    (" 2 ,\t1 \r\n1.0\n2.0\n", [[1.0], [2.0]]),
+    *((f"{bad},1\n1.0\n", "the first line is not 'rows,cols'")
+      for bad in ("1_0", "+10", "-1")),
     ("2,2\n1.0,2.0\n", "row 2, field 1: expected a finite number, then a comma, found ''"),
     ("1,2\n1.0,abc\n", f"row 1, field 2: {_END_OF_ROW} 'abc'"),
     ("1,2\n1.0,2.0,3.0\n", f"row 1, field 2: {_END_OF_ROW} '2.0,3.0'"),
@@ -351,6 +355,33 @@ class TestSolve:
         printed = capsys.readouterr()
         assert printed.err == "" and len(printed.out.splitlines()) == 1
 
+    @pytest.mark.parametrize("mu", ["50", "1e10", "1e300"])
+    def test_gaita_overflow_is_flagged(self, mu, tmp_path, instance_dir, capsys):
+        # the first sweep diverges; at 1e10 and 1e300 it overflows, leaving
+        # an infinity in x, which has no stationarity and which certify
+        # refuses to read
+        out = tmp_path / "run"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run_cli("solve", "--instance-dir", str(instance_dir),
+                           "--mu", mu, "--out-dir", str(out))
+        printed = capsys.readouterr()
+        assert code == 0 and printed.err == ""
+        assert printed.out == f"gaita diverged after 1 sweeps; outputs in {out}\n"
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["flags"]["diverged"] and summary["flags"]["sweeps"] == 1
+        header, rows = read_trace_csv(out / "trace.csv")
+        assert summary["final_rmse"] == rows[-1][header.index("rmse")]
+        overflowed = "inf" in (out / "solution.csv").read_text()
+        assert overflowed == (mu != "50")
+        assert (summary["stationarity"] is None) == overflowed
+        if overflowed:
+            assert summary["final_objective"] == summary["final_rmse"] == math.inf
+            assert run_cli("certify", "--instance-dir", str(instance_dir),
+                           "--solution", str(out / "solution.csv"),
+                           "--out-dir", str(tmp_path / "cert"), "--quiet") == 2
+            assert "solution.csv: row " in capsys.readouterr().err
+
     def test_config_file_and_flag_precedence(self, tmp_path, instance_dir):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(
@@ -473,6 +504,16 @@ class TestExitCodes:
             err = capsys.readouterr().err
             assert ("extra" if "extra" in spec else "seed") in err
             assert "Traceback" not in err
+        # a spec that does not match its arrays: first with the spec_hash
+        # gen wrote, then with the edited spec's own
+        spec = dict(manifest["spec"], m=999, seed=3)
+        for spec_hash in (manifest["spec_hash"], cli._spec_hash(spec)):
+            manifest_path.write_text(json.dumps(dict(manifest, spec=spec,
+                                                     spec_hash=spec_hash)))
+            assert run_cli(*solve) == 2
+            err = capsys.readouterr().err
+            assert err.count("\n") == 1 and err.startswith(f"error: {manifest_path}: ")
+            assert ("spec_hash" if spec_hash == manifest["spec_hash"] else "m=999") in err
 
     @pytest.mark.parametrize("probe", ["malformed-config", "manifest-without-files",
                                        "manifest-spec-m-not-a-number", "summary-a-list",
@@ -648,15 +689,21 @@ class TestProxEval:
         assert [row.split(",")[0] for row in rows] == [
             "0.5", "-1000.0", "-0.25", "-1.0", "-0.5"]
 
-    def test_a_stalled_z_prints_no_table(self, capsys):
-        # -inf is read as a value, and its root-find stalls before any row
-        # is printed
-        code = run_cli("prox-eval", "--q", "0.5", "--lambda-mu", "1",
-                       "--z", "0.5", "-inf")
+    def test_an_infinite_z_has_an_infinite_prox(self, capsys):
+        # -inf is read as a value; closed form and Newton alike keep it
+        for q in ("0.5", "0.9"):
+            code = run_cli("prox-eval", "--q", q, "--lambda-mu", "1",
+                           "--z", "0.5", "-inf")
+            printed = capsys.readouterr()
+            assert code == 0 and printed.err == ""
+            assert printed.out.splitlines()[2:] == ["0.5,0.0", "-inf,-inf"]
+
+    def test_newton_where_one_ulp_exceeds_tol(self, capsys):
+        code = run_cli("prox-eval", "--q", "0.9", "--lambda-mu", "1000",
+                       "--z", "15584.820641239146")
         printed = capsys.readouterr()
-        assert code == 2
-        assert printed.out == ""
-        assert printed.err == "error: prox root-finder stalled at z_abs=inf\n"
+        assert code == 0 and printed.err == ""
+        assert printed.out.splitlines()[2:] == ["15584.820641239146,15241.309932890124"]
 
     @pytest.mark.parametrize("z", ["nan", "-NaN"])
     def test_a_nan_z_is_rejected(self, capsys, z):

@@ -263,3 +263,27 @@ def test_kernel_prox_is_python_prox_bit_for_bit(q, rng):
         x_prev = rng.choice([0.0, 1.0, -2.0], 200)
         out = prox_vector(z, x_prev, params)
         assert out.tobytes() == prox_vector_oracle(z, x_prev, params).tobytes(), params
+
+
+def test_newton_ends_where_one_ulp_exceeds_tol():
+    # from |z| >= 8192 an ulp of the root exceeds TOL, and Newton's steps
+    # can shrink no further than one; here it once cycled between two
+    # adjacent doubles
+    params = ProxParams(c=1000.0, q=0.9)
+    z = 15584.820641239146
+    assert prox_scalar(z, 0.0, params) == 15241.309932890124
+    assert solve_inverse(z, params) == 15241.309932890124
+
+
+def test_kernel_prox_is_python_prox_on_a_wide_newton_grid():
+    # every Newton exponent the paper's grids use and the ends of (0, 1),
+    # c over 18 decades and |z| log-uniform over 12 decades above tau
+    rng = np.random.default_rng(2015)
+    for q in (0.01, 0.05, 0.1, 0.3, 0.7, 0.9, 0.99):
+        for c in 10.0 ** np.arange(-12.0, 7.0):
+            params = ProxParams(c=c, q=q)
+            z = (rng.choice([-1.0, 1.0], 2000) * params.tau
+                 * 10.0 ** rng.uniform(0.0, 12.0, 2000))
+            x_prev = np.zeros(z.size)
+            out = prox_vector(z, x_prev, params)
+            assert out.tobytes() == prox_vector_oracle(z, x_prev, params).tobytes(), params

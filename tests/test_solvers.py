@@ -10,14 +10,14 @@ import pytest
 
 from lqsolve import _csweep, solvers
 from lqsolve.core import ProblemInstance, l_max, objective, spectral_norm_sq
-from lqsolve.errors import ConvergenceFailure, DimensionMismatch, InvalidInstance
+from lqsolve.errors import DimensionMismatch, InvalidInstance
 from lqsolve.harness import InstanceSpec, generate_instance
 from lqsolve.prox import ProxParams, prox_vector
 from lqsolve.solvers import (IterationTrace, SolverConfig, SolverState,
                              gaita_run, jaita_run)
 
-from conftest import (bisect_root, gaita_update, plain_run, read_trace_csv,
-                      small_problem, sweep_oracle)
+from conftest import (bisect_root, gaita_update, plain_run, prox_vector_oracle,
+                      read_trace_csv, small_problem, sweep_oracle)
 
 
 class TestGaitaUpdate:
@@ -125,7 +125,7 @@ class TestGaitaRun:
             x = np.zeros(p.n)
             assert_sweeps_match(p, x, p.A @ x - p.y, factor / l_max(p.A), sweeps)
 
-    def test_run_is_the_same_on_both_backends(self, monkeypatch):
+    def test_run_on_the_kernel_matches_the_run_on_the_oracle(self, monkeypatch):
         # gaita_run on the kernel's sweep and on the oracle sweep
         for q, factor, sweeps, spec in self.KERNEL_CASES:
             p, inst = small_problem(q=q, **spec)
@@ -169,7 +169,6 @@ class TestGaitaRun:
 
     def test_diverges_at_large_step(self):
         # unguarded, the objective overflows within a few hundred sweeps
-        # and the prox raises on the non-finite input
         p, _ = small_problem(seed=0, m=40, n=80, k=4, lam=0.001)
         state, trace = gaita_run(p, np.zeros(p.n),
                                  SolverConfig(mu=2.5 / l_max(p.A)))
@@ -188,38 +187,43 @@ class TestGaitaRun:
         assert np.all(interior % 25 == 0)
 
 
-def test_stalled_prox_raises():
-    # an overflowing forward step leaves the root-finder nothing to converge
-    # on, in gaita's sweep and in jaita's vector prox alike, whether the
-    # root has a closed form (q = 1/2, 2/3) or is found by Newton (q = 0.9)
+def test_an_infinite_forward_step_thresholds_to_infinity():
+    # an overflowing forward step gives x[i] the infinity's sign, in gaita's
+    # sweep and in jaita's vector prox alike, whether the root has a closed
+    # form (q = 1/2, 2/3) or is found by Newton (q = 0.9), and the oracles
+    # agree bit for bit
     A = np.full((4, 3), 0.5, order="F")
-    stalled = r"^prox root-finder stalled at z_abs=inf$"
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         for q in (0.5, 2.0 / 3.0, 0.9):
             params = ProxParams(c=0.01, q=q)
             for big in (1e308, -1e308):  # z = -inf, then z = +inf
                 x, r = np.zeros(3), np.full(4, big)
-                step = solvers._sweep(A, x, r, 1.0, params)
-                with pytest.raises(ConvergenceFailure, match=stalled):
-                    step()
-                assert np.array_equal(x, np.zeros(3))
-                with pytest.raises(ConvergenceFailure, match=stalled):
-                    prox_vector(np.array([0.5, -np.sign(big) * np.inf]),
-                                np.zeros(2), params)
+                xp, rp = x.copy(), r.copy()
+                solvers._sweep(A, x, r, 1.0, params)()
+                sweep_oracle(A, xp, rp, 1.0, params)()
+                assert x[0] == -np.sign(big) * np.inf
+                assert x.tobytes() == xp.tobytes() and r.tobytes() == rp.tobytes()
+                z = np.array([0.5, -np.sign(big) * np.inf])
+                out = prox_vector(z, np.zeros(2), params)
+                assert out[1] == z[1]
+                assert out.tobytes() == prox_vector_oracle(z, np.zeros(2), params).tobytes()
     assert [str(w.message) for w in caught] == []
 
 
-def test_stalled_prox_raises_from_a_run():
-    # the same failure through gaita_run, which binds the sweep once per
-    # run: from a finite initial objective (2e300), mu = 1e300 makes every
-    # forward step overflow to -inf
-    stalled = r"^prox root-finder stalled at z_abs=inf$"
+def test_a_run_that_overflows_ends_diverged():
+    # from a finite initial objective (2e300), mu = 1e300 makes the first
+    # forward step overflow: both solvers flag it at sweep 1, as the
+    # oracle loop does
+    config = SolverConfig(mu=1e300)
     for q in (0.5, 2.0 / 3.0, 0.9):
         p = ProblemInstance(A=np.full((4, 3), 0.5), y=np.full(4, -1e150),
                             lam=0.01, q=q)
-        with pytest.raises(ConvergenceFailure, match=stalled):
-            gaita_run(p, np.zeros(3), SolverConfig(mu=1e300))
+        for algorithm, run in (("gaita", gaita_run), ("jaita", jaita_run)):
+            got = run(p, np.zeros(3), config)
+            assert got[1].flags["diverged"] and got[1].flags["sweeps"] == 1
+            with np.errstate(over="ignore", invalid="ignore"):
+                _assert_same_run(got, plain_run(p, np.zeros(3), config, algorithm))
 
 
 def assert_sweeps_match(p, x, r, mu, sweeps):
@@ -230,7 +234,7 @@ def assert_sweeps_match(p, x, r, mu, sweeps):
     sweep_c = solvers._sweep(p.A, x, r, mu, params)
     sweep_py = sweep_oracle(p.A, xp, rp, mu, params)
     for k in range(sweeps):
-        assert sweep_c() is None  # the run loop measures the step
+        assert 0 <= sweep_c() <= p.n  # the columns screening skipped
         sweep_py()
         assert x.tobytes() == xp.tobytes() and r.tobytes() == rp.tobytes(), k
         r[:] = p.A @ x - p.y
@@ -464,18 +468,13 @@ def noisy_instance():
 
 def count_skipped(monkeypatch):
     """From here on, each sweep of the C kernel appends to the returned
-    list the number of columns that screening skipped, as the kernel
-    reports it in out[1]."""
+    list the number of columns that screening skipped, which the sweep
+    returns."""
     bind, skipped = solvers._sweep, []
 
     def counted(*args):
         sweep = bind(*args)
-
-        def step():
-            sweep()
-            skipped.append(sweep.out[1])
-
-        return step
+        return lambda: skipped.append(sweep())
 
     monkeypatch.setattr(solvers, "_sweep", counted)
     return skipped
@@ -568,8 +567,8 @@ class TestScreening:
 
 @pytest.mark.parametrize("run", [gaita_run, jaita_run])
 def test_nan_objective_is_divergence(run, monkeypatch):
-    # no real input was found that makes the objective NaN before the prox
-    # stalls; the guard must still catch one rather than run to the cap
+    # an objective that turns NaN ends the run flagged, rather than running
+    # on to the cap
     real = solvers.objective_from_residual
     calls = []
 
@@ -593,7 +592,7 @@ def test_nan_objective_is_divergence(run, monkeypatch):
 def test_unguardable_start_is_divergence(run, y):
     # an initial objective of inf, or of 2e304, whose 1e6-fold guard is
     # inf: no later objective could exceed the guard, so the run ends at
-    # sweep 0 instead of running on to the cap or until the prox stalls
+    # sweep 0 instead of running on to the cap
     p = ProblemInstance(A=np.full((4, 3), 0.5), y=np.full(4, y), lam=0.01, q=0.5)
     config = SolverConfig(mu=1.0, stop="cap")
     with np.errstate(over="ignore"):
