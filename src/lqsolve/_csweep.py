@@ -6,11 +6,13 @@ compiler flags, and written under a temporary name first so that
 concurrent first imports never load a half-written file.  Later imports
 only hash the source and load the cached file.  It is loaded once, here:
 ``lq_sweep`` (gaita's sweep), ``lq_prox`` (the prox behind
-``prox.prox_vector``) and ``lq_parse`` (``cli.read_array``'s parser, the
-only reader of array files) hold the handles.  The kernel calls no BLAS:
-gaita's sweep computes its own dot products, so it loads with any numpy
-build.  Where the kernel cannot be built or loaded, importing lqsolve
-raises Unavailable, whose message names the cause.
+``prox.prox_vector``), ``lq_parse`` (``cli.read_array``'s parser, the
+only reader of array files), ``lq_refresh`` (the run loop's residual
+refresh) and ``lq_dot`` (the dot product behind the run loop's norms)
+hold the handles.  The kernel calls no BLAS: it computes its own dot
+products, so it loads with any numpy build.  Where the kernel cannot be
+built or loaded, importing lqsolve raises Unavailable, whose message
+names the cause.
 """
 
 import ctypes
@@ -63,7 +65,8 @@ def _build(target):
 
 
 def load():
-    """Return (lq_sweep, lq_prox, lq_parse), building the kernel if needed."""
+    """Return (lq_sweep, lq_prox, lq_parse, lq_refresh, lq_dot), building
+    the kernel if needed."""
     try:
         source = SOURCE.read_bytes()
     except OSError:
@@ -77,8 +80,10 @@ def load():
     except OSError as exc:
         raise Unavailable(f"cannot load {target.name}: {exc}") from None
     sweep, prox, parse = lib.lq_sweep, lib.lq_prox, lib.lq_parse
+    refresh, dot = lib.lq_refresh, lib.lq_dot
     sweep.restype = parse.restype = ctypes.c_int64
     prox.restype = None
+    refresh.restype = dot.restype = ctypes.c_double
     sweep.argtypes = ([ctypes.c_int64] * 2 + [ctypes.c_void_p] * 3
                       + [ctypes.c_double] * 6 + [ctypes.c_void_p])
     prox.argtypes = ([ctypes.c_int64] + [ctypes.c_void_p] * 2
@@ -86,7 +91,9 @@ def load():
     # a bytes argument passes its own buffer, not a copy
     parse.argtypes = [ctypes.c_char_p, ctypes.c_int64, ctypes.POINTER(ctypes.c_int64),
                       ctypes.c_int64, ctypes.c_int64, ctypes.c_void_p]
-    return sweep, prox, parse
+    refresh.argtypes = [ctypes.c_int64] * 2 + [ctypes.c_void_p] * 4
+    dot.argtypes = [ctypes.c_int64] + [ctypes.c_void_p] * 2
+    return sweep, prox, parse, refresh, dot
 
 
-lq_sweep, lq_prox, lq_parse = load()
+lq_sweep, lq_prox, lq_parse, lq_refresh, lq_dot = load()

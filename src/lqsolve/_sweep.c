@@ -1,11 +1,12 @@
 /* gaita's cyclic sweep (lq_sweep) and the componentwise prox behind
- * prox.prox_vector (lq_prox), the only implementations lqsolve runs; and
- * lq_parse, which reads the body of an array file to the bits float()
- * gives.
+ * prox.prox_vector (lq_prox), the only implementations lqsolve runs; the
+ * run loop's residual refresh (lq_refresh) and the dot product behind its
+ * norms (lq_dot); and lq_parse, which reads the body of an array file to
+ * the bits float() gives.
  *
- * The sweep calls no BLAS: its column dot product and rank-1 residual
- * update are here, so its bits depend on neither the BLAS library nor the
- * CPU.  The prox root-finder works in closed form at q = 1/2 and q = 2/3
+ * None of these calls the BLAS: the column dot product and the residual
+ * update are here, so their bits depend on neither the BLAS library nor
+ * the CPU.  The prox root-finder works in closed form at q = 1/2 and q = 2/3
  * and by Newton at any other q, which stops within prox.TOL or at the
  * first step that does not descend, and so cannot fail.  It runs
  * operation for operation as the Python oracles in the tests' conftest.py
@@ -176,6 +177,53 @@ static void residual_update(int64_t m, double d, const double *col, double *r)
 {
     for (int64_t j = 0; j < m; j++)
         r[j] += d * col[j];
+}
+
+/* residual_update for four columns in one pass over r: each entry takes
+ * the four adds in column order, with the bits of four single calls. */
+VECTOR_CLONES
+static void residual_update4(int64_t m, const double *d,
+                             const double *const *col, double *restrict r)
+{
+    const double *restrict c0 = col[0], *restrict c1 = col[1],
+                 *restrict c2 = col[2], *restrict c3 = col[3];
+    for (int64_t j = 0; j < m; j++)
+        r[j] = (((r[j] + d[0] * c0[j]) + d[1] * c1[j]) + d[2] * c2[j])
+               + d[3] * c3[j];
+}
+
+/* Set r = a x - y for the column-major m x n matrix a: r = -y, then
+ * r += x_i a_i for each x_i != 0 in column order (a NaN counts as
+ * nonzero), four columns per pass over r.  The work is the support's, and
+ * the bits are those of adding one column at a time.  Returns r . r,
+ * summed as column_dot sums. */
+double lq_refresh(int64_t m, int64_t n, const double *a, const double *x,
+                  const double *y, double *r)
+{
+    const double *col[4];
+    double d[4];
+    int k = 0;
+    for (int64_t j = 0; j < m; j++)
+        r[j] = -y[j];
+    for (int64_t i = 0; i < n; i++) {
+        if (x[i] == 0.0)
+            continue;
+        d[k] = x[i];
+        col[k] = a + i * m;
+        if (++k == 4) {
+            residual_update4(m, d, col, r);
+            k = 0;
+        }
+    }
+    for (int t = 0; t < k; t++)
+        residual_update(m, d[t], col[t], r);
+    return column_dot(m, r, r);
+}
+
+/* a . b, summed as column_dot sums: the run loop's norms. */
+double lq_dot(int64_t m, const double *a, const double *b)
+{
+    return column_dot(m, a, b);
 }
 
 /* Sweep the n columns of the column-major m x n matrix a, updating x and

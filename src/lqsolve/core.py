@@ -116,15 +116,18 @@ def min_eig_symmetric(M):
 
 
 def objective(p, x):
-    """Objective value 0.5*||Ax - y||^2 + lam * sum |x_i|^q (with |0|^q = 0)."""
+    """Objective value 0.5*||Ax - y||^2 + lam * sum |x_i|^q (with |0|^q = 0),
+    with A x - y and its square from numpy's BLAS."""
     x = as_vector(x, "x")
     if x.shape[0] != p.n:
         raise DimensionMismatch(f"x has length {x.shape[0]}, expected {p.n}")
-    return objective_from_residual(p, x, p.A @ x - p.y)
+    r = p.A @ x - p.y
+    return objective_from_rr(p, x, float(r @ r))
 
 
-def objective_from_residual(p, x, r):
-    """Objective using a precomputed residual r = A x - y.
+def objective_from_rr(p, x, rr):
+    """The objective 0.5 * rr + lam * sum |x_i|^q, given rr = ||A x - y||^2
+    however the caller summed it.
 
     Only the nonzero entries are raised to the power q.  They are scattered
     back among zeros before the sum, which keeps numpy's pairwise summation
@@ -134,4 +137,4 @@ def objective_from_residual(p, x, r):
     nz = x != 0.0
     powers = np.zeros(x.shape[0])
     powers[nz] = np.abs(x[nz]) ** p.q
-    return 0.5 * float(r @ r) + p.lam * float(powers.sum())
+    return 0.5 * rr + p.lam * float(powers.sum())

@@ -13,11 +13,13 @@ mu, params)``: ``_sweep``, the C kernel's sweep, for gaita, and
 ``_jacobi_step`` for jaita.  The C binding takes its arrays' pointers and
 owns its screening state: the sweep always screens, skipping a zero
 coordinate's dot product while a bound proves it stays zero, with every
-output unchanged.  The sweep computes its dot products in the kernel, so
-its bits do not depend on the BLAS; jaita's step and the loop's
-per-sweep refresh r = A x - y use numpy's BLAS, and theirs may.  The
-prox tolerance is the constant prox.TOL.  default_mu gives each solver's
-default step size.
+output unchanged.  The loop binds the kernel's residual refresh
+(``_refresh``) and norms (``_distance``) the same way, once per run.  The
+sweep, the refresh r = A x - y, its square r . r and the norms behind
+step_norm and the RMSE are computed in the kernel, so gaita's bits do not
+depend on the BLAS; jaita's A^T r and its default step size (||A||_2^2)
+use numpy's BLAS, and theirs may.  The prox tolerance is the constant
+prox.TOL.  default_mu gives each solver's default step size.
 """
 
 import math
@@ -26,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _csweep, core, prox
-from .core import format_float, objective_from_residual, write_rows
+from .core import format_float, objective_from_rr, write_rows
 from .errors import DimensionMismatch, InvalidInstance
 from .prox import ProxParams, prox_vector
 
@@ -91,8 +93,9 @@ class SolverState:
         x = core.as_vector(x0, "x0").copy()
         if x.shape[0] != p.n:
             raise DimensionMismatch(f"x0 has length {x.shape[0]}, expected {p.n}")
-        r = p.A @ x - p.y
-        return cls(x=x, n=0, residual=r, objective=objective_from_residual(p, x, r))
+        r = np.empty(p.m)
+        rr = _refresh(p.A, p.y, x, r)()
+        return cls(x=x, n=0, residual=r, objective=objective_from_rr(p, x, rr))
 
 
 class IterationTrace:
@@ -143,6 +146,22 @@ class IterationTrace:
 # ---------------------------------------------------------------------------
 # steps
 
+def _check_kernel_arrays(A, x, r):
+    """Check what the kernel's x and r pointers need: a Fortran-ordered
+    float64 A, and writable contiguous float64 x and r of A's shape."""
+    if A.dtype != np.float64 or A.ndim != 2 or not A.flags.f_contiguous:
+        raise InvalidInstance("the C kernel needs a Fortran-ordered float64 matrix")
+    for v in (x, r):
+        if (v.dtype != np.float64 or v.ndim != 1 or not v.flags.c_contiguous
+                or not v.flags.writeable):
+            raise InvalidInstance("the C kernel needs writable contiguous float64 vectors")
+    m, n_dim = A.shape
+    if x.shape[0] != n_dim or r.shape[0] != m:
+        raise DimensionMismatch(
+            f"x and r have lengths {x.shape[0]} and {r.shape[0]}, "
+            f"expected {n_dim} and {m}")
+
+
 def _sweep(A, x, r, mu, params):
     """Bind the cyclic sweep, the C kernel in _sweep.c, to x and r: returns
     a function of no arguments that runs one sweep in place on them.
@@ -154,17 +173,8 @@ def _sweep(A, x, r, mu, params):
     from sweep to sweep.  The function returns the number of columns
     that screening skipped.
     """
-    if A.dtype != np.float64 or A.ndim != 2 or not A.flags.f_contiguous:
-        raise InvalidInstance("the C sweep needs a Fortran-ordered float64 matrix")
-    for v in (x, r):
-        if (v.dtype != np.float64 or v.ndim != 1 or not v.flags.c_contiguous
-                or not v.flags.writeable):
-            raise InvalidInstance("the C sweep needs writable contiguous float64 vectors")
+    _check_kernel_arrays(A, x, r)
     m, n_dim = A.shape
-    if x.shape[0] != n_dim or r.shape[0] != m:
-        raise DimensionMismatch(
-            f"x and r have lengths {x.shape[0]} and {r.shape[0]}, "
-            f"expected {n_dim} and {m}")
     state = np.zeros(3 * n_dim + m + 1)  # layout in _sweep.c
     state[:n_dim] = np.linalg.norm(A, axis=0) * (1.0 + 1e-10)  # rounded up
     state[n_dim:2 * n_dim] = np.inf  # no dot product computed yet
@@ -189,17 +199,56 @@ def _jacobi_step(A, x, r, mu, params):
     return step
 
 
+def _refresh(A, y, x, r):
+    """Bind the residual refresh, the C kernel's lq_refresh, to x and r:
+    returns a function of no arguments that sets r = A x - y in place and
+    returns r . r.
+
+    r is -y plus x_i a_i for each x_i != 0, in column order, so the work
+    is the support's; r . r is summed in the kernel's lane order.  As with
+    _sweep, x and r must change only in place.
+    """
+    _check_kernel_arrays(A, x, r)
+    y = np.ascontiguousarray(y, dtype=np.float64)
+    if y.shape != r.shape:
+        raise DimensionMismatch(f"y has length {y.shape[0]}, expected {r.shape[0]}")
+    lq_refresh = _csweep.lq_refresh
+    args = (A.shape[0], A.shape[1], A.ctypes.data, x.ctypes.data,
+            y.ctypes.data, r.ctypes.data)
+
+    def refresh():
+        return lq_refresh(*args)
+
+    refresh.arrays = (A, y, x, r)  # keeps the memory behind the pointers alive
+    return refresh
+
+
 # ---------------------------------------------------------------------------
 # run loops
 
 def _norm(v):
-    """np.linalg.norm(v) of a 1-d float64 vector, bit for bit, without
-    its dispatch."""
-    return math.sqrt(float(v @ v))
+    """The 2-norm of a 1-d vector, its squares summed in the kernel
+    (lq_dot), with no BLAS: an infinite entry gives inf."""
+    v = np.ascontiguousarray(v, dtype=np.float64)
+    return math.sqrt(_csweep.lq_dot(v.shape[0], v.ctypes.data, v.ctypes.data))
 
 
-def _rmse_vs(x, ref, ref_norm):
-    return float(_norm(x - ref) / ref_norm)
+def _distance(u, v):
+    """Bind ||u - v|| to u and v: returns a function of no arguments that
+    gives _norm(u - v), bit for bit, through a buffer of its own."""
+    diff = np.empty(u.shape[0])
+    lq_dot, args = _csweep.lq_dot, (diff.shape[0], diff.ctypes.data, diff.ctypes.data)
+
+    def distance():
+        np.subtract(u, v, out=diff)
+        return math.sqrt(lq_dot(*args))
+
+    return distance
+
+
+def _rmse_vs(x, ref):
+    """||x - ref|| / ||ref||, unchecked: the bits of the loop's rmse column."""
+    return _norm(x - ref) / _norm(ref)
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -210,10 +259,11 @@ def _run(p, x0, config, algorithm, bind, mu_bound, updates_per_sweep):
     and returns ``step()``, which does one sweep in place on x and r.  The
     loop copies x into x_before first and measures the step once: stop
     "iterate_change" compares step_norm = ||x - x_before|| with config.tol,
-    and the trace records it.  It refreshes r = A x - y after every sweep,
-    records, and applies the stop rule and the divergence guard.  It
-    changes x and r only in place and never rebinds them, so a step may
-    hold their memory for the whole run, as the C sweep does.
+    and the trace records it.  It refreshes r = A x - y after every sweep
+    (lq_refresh, which also gives the objective its r . r), records, and
+    applies the stop rule and the divergence guard.  It changes x and r
+    only in place and never rebinds them, so a step, the refresh and the
+    norms may hold their memory for the whole run, as the C sweep does.
     ``mu_bound(A)`` is the curvature bound whose inverse the step size
     should stay below.
     numpy's overflow and invalid-value warnings are off throughout: the
@@ -225,7 +275,6 @@ def _run(p, x0, config, algorithm, bind, mu_bound, updates_per_sweep):
     if ref is not None and ref.shape[0] != p.n:
         raise DimensionMismatch(f"the RMSE reference has length {ref.shape[0]}, "
                                 f"expected {p.n}")
-    ref_norm = np.linalg.norm(ref) if ref is not None else None  # once per run
     trace = IterationTrace()
     trace.flags = {
         "algorithm": algorithm,
@@ -238,24 +287,30 @@ def _run(p, x0, config, algorithm, bind, mu_bound, updates_per_sweep):
     obj0 = state.objective
     guard = DIVERGENCE_FACTOR * obj0 if obj0 > 0 else DIVERGENCE_FACTOR
 
-    rmse = _rmse_vs(state.x, ref, ref_norm) if ref is not None else math.nan
-    trace.record(0, 0, state.objective, math.nan, state.x, rmse,
+    x, r = state.x, state.residual
+    if ref is None:
+        rmse_of = lambda: math.nan
+    else:
+        ref_norm, to_ref = _norm(ref), _distance(x, ref)
+        rmse_of = lambda: to_ref() / ref_norm  # _rmse_vs's bits
+    trace.record(0, 0, state.objective, math.nan, x, rmse_of(),
                  config.record_iterates)
     if not (obj0 <= guard < math.inf):  # a NaN, infinite or near-overflow start
         trace.flags["diverged"] = True
         return state, trace
 
-    x, r = state.x, state.residual
     step = bind(p.A, x, r, config.mu, params)
+    refresh = _refresh(p.A, p.y, x, r)
     x_before = np.empty_like(x)
+    step_norm_of = _distance(x, x_before)
     sweep = 0
     for sweep in range(1, config.max_sweeps + 1):
         x_before[:] = x
         step()
-        step_norm = _norm(x - x_before)
-        r[:] = p.A @ x - p.y  # per-sweep refresh bounds rank-1 drift
-        state.objective = objective_from_residual(p, x, r)
-        rmse = _rmse_vs(x, ref, ref_norm) if ref is not None else math.nan
+        step_norm = step_norm_of()
+        # per-sweep refresh bounds rank-1 drift
+        state.objective = objective_from_rr(p, x, refresh())
+        rmse = rmse_of()
 
         diverged = not (state.objective <= guard)
         stop = config.stop != "cap" and (

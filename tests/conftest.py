@@ -6,9 +6,9 @@ half-thresholding formula for q = 1/2, bisection on the quartic whose root
 gives the q = 2/3 operator, cyclic Jacobi rotations for
 eigenvalues, plain bisection for the monotone scalar equation, and a run
 loop that computes every sweep.  The Python root-finder, column dot
-product, coordinate update and sweep here are the oracles the C kernel in
-_sweep.c is checked against bit for bit: the same operations in the same
-order, in Python and numpy.
+product, coordinate update, sweep and residual refresh here are the
+oracles the C kernel in _sweep.c is checked against bit for bit: the same
+operations in the same order, in Python and numpy.
 """
 
 import csv
@@ -19,8 +19,7 @@ import numpy as np
 import pytest
 
 from lqsolve import solvers
-from lqsolve.core import (ProblemInstance, l_max, objective_from_residual,
-                          spectral_norm_sq)
+from lqsolve.core import ProblemInstance, l_max, objective_from_rr, spectral_norm_sq
 from lqsolve.errors import InvalidInstance
 from lqsolve.harness import InstanceSpec, generate_instance
 from lqsolve.prox import TOL, ProxParams
@@ -212,6 +211,21 @@ def lane_dot(a, r):
     return float(acc[0])
 
 
+def refresh_oracle(A, x, y):
+    """r = A x - y as _sweep.c's lq_refresh computes it, and r . r: r = -y,
+    then r += x_i a_i for each x_i != 0 (NaN included), in column order,
+    one column at a time; r . r summed by lane_dot.  Returns (r, r . r)."""
+    r = -np.asarray(y, dtype=np.float64)
+    for i in np.flatnonzero(x):
+        r += x[i] * A[:, i]
+    return r, lane_dot(r, r)
+
+
+def lane_norm(v):
+    """||v||, its squares summed by lane_dot, as the run loop's norms are."""
+    return math.sqrt(lane_dot(v, v))
+
+
 def coordinate_step(A, x, r, mu, params, i):
     """Update coordinate i (0-based) in place on x and r.
 
@@ -232,7 +246,7 @@ def gaita_update(state, p, config):
     coordinate_step(p.A, x, r, config.mu, ProxParams(c=p.lam * config.mu, q=p.q),
                     state.n % p.n)
     return solvers.SolverState(x=x, n=state.n + 1, residual=r,
-                               objective=objective_from_residual(p, x, r))
+                               objective=objective_from_rr(p, x, lane_dot(r, r)))
 
 
 def sweep_oracle(A, x, r, mu, params):
@@ -263,15 +277,16 @@ def plain_run(p, x0, config, algorithm):
     """The solvers' run loop with nothing skipped, on the oracles: every
     sweep runs the oracle step (gaita: sweep_oracle, which computes every
     coordinate; jaita: one thresholded gradient step through
-    prox_vector_oracle), then its step_norm ||x - x_before||, r = A x - y,
-    the objective and the RMSE.  Returns (x, r, objective, trace) for
-    bit-for-bit comparison with gaita_run / jaita_run."""
+    prox_vector_oracle), then its step_norm ||x - x_before||, r = A x - y
+    (refresh_oracle), the objective and the RMSE, the norms by lane_norm.
+    Returns (x, r, objective, trace) for bit-for-bit comparison with
+    gaita_run / jaita_run."""
     params = ProxParams(c=p.lam * config.mu, q=p.q)
     x = np.array(x0, dtype=np.float64)
-    r = p.A @ x - p.y
-    obj = objective_from_residual(p, x, r)
+    r, rr = refresh_oracle(p.A, x, p.y)
+    obj = objective_from_rr(p, x, rr)
     ref = config.reference
-    rmse = lambda: (float(np.linalg.norm(x - ref) / np.linalg.norm(ref))
+    rmse = lambda: (lane_norm(x - ref) / lane_norm(ref)
                     if ref is not None else math.nan)
     bound = l_max if algorithm == "gaita" else spectral_norm_sq
     per_sweep = p.n if algorithm == "gaita" else 1
@@ -304,9 +319,9 @@ def plain_run(p, x0, config, algorithm):
     for sweep in range(1, config.max_sweeps + 1):
         x_before = x.copy()
         step_once()
-        step = float(np.linalg.norm(x - x_before))
-        r[:] = p.A @ x - p.y
-        obj = objective_from_residual(p, x, r)
+        step = lane_norm(x - x_before)
+        r[:], rr = refresh_oracle(p.A, x, p.y)
+        obj = objective_from_rr(p, x, rr)
         e = rmse()
         diverged = not obj <= guard
         stop = (step <= config.tol if config.stop == "iterate_change"

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lqsolve.core import (ProblemInstance, column_norms_sq, l_max,
-                          min_eig_symmetric, objective, objective_from_residual,
+                          min_eig_symmetric, objective, objective_from_rr,
                           spectral_norm_sq)
 from lqsolve.errors import AsymmetricMatrix, DimensionMismatch, InvalidInstance
 from lqsolve.harness import InstanceSpec, generate_instance
@@ -144,7 +144,7 @@ class TestObjective:
     @pytest.mark.parametrize("q", [0.1, 0.5, 2.0 / 3.0, 0.9])
     def test_sparse_power_sum_is_the_dense_one_bit_for_bit(self, q, rng):
         # the solvers' loop and the oracle plain_run in conftest both call
-        # objective_from_residual, so its bits are pinned here against the
+        # objective_from_rr, so its bits are pinned here against the
         # formula that raises every entry to the power q
         for n in (1, 7, 9, 130, 500, 1031):
             p = ProblemInstance(A=np.ones((2, n)), y=np.zeros(2), lam=0.37, q=q)
@@ -160,6 +160,7 @@ class TestObjective:
                     if kind != "zero":
                         x[spots[1]] = rng.choice([5e-324, -1e-310, 2.2e-308])
                     r = rng.standard_normal(2)
-                    dense = 0.5 * float(r @ r) + p.lam * float(np.sum(np.abs(x) ** q))
-                    got = objective_from_residual(p, x, r)
+                    rr = float(r @ r)
+                    dense = 0.5 * rr + p.lam * float(np.sum(np.abs(x) ** q))
+                    got = objective_from_rr(p, x, rr)
                     assert repr(got) == repr(dense), (n, kind)

@@ -95,6 +95,17 @@ class TestRmse:
         with pytest.raises(InvalidInstance):
             rmse(np.ones(3), np.ones(4))
 
+    def test_overflowed_x_scores_inf(self):
+        # a diverged run's x may hold an infinity, or entries whose squares
+        # overflow: it scores inf, with no error and no warning
+        x_ref = np.array([1.0, -2.0, 0.5])
+        for bad in (np.inf, -np.inf, 1e300):
+            assert rmse(np.array([bad, 0.0, 1.0]), x_ref) == np.inf
+
+    def test_nonfinite_reference_rejected(self):
+        with pytest.raises(InvalidInstance, match="non-finite"):
+            rmse(np.ones(3), np.array([1.0, np.inf, 0.0]))
+
 
 DESK = {"m": 30, "n": 60, "k_star": 4}
 

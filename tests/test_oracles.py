@@ -6,10 +6,12 @@ import conftest
 
 # the oracles the kernel is compared with bit for bit
 ORACLES = ("solve_inverse", "prox_oracle", "prox_vector_oracle", "lane_dot",
-           "coordinate_step", "gaita_update", "sweep_oracle", "plain_run")
+           "lane_norm", "refresh_oracle", "coordinate_step", "gaita_update",
+           "sweep_oracle", "plain_run")
 # the kernel's handles, and the library names that call them
-KERNEL = {"_csweep", "lq_sweep", "lq_prox", "lq_parse", "prox_vector",
-          "prox_scalar", "_sweep", "read_array"}
+KERNEL = {"_csweep", "lq_sweep", "lq_prox", "lq_parse", "lq_refresh", "lq_dot",
+          "prox_vector", "prox_scalar", "_sweep", "_refresh", "_norm",
+          "_distance", "_rmse_vs", "read_array"}
 
 
 def names(node):

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import os
 import shutil
 import subprocess
@@ -8,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lqsolve import _csweep, solvers
+from lqsolve import _csweep, cli, solvers
 from lqsolve.core import ProblemInstance, l_max, objective, spectral_norm_sq
 from lqsolve.errors import DimensionMismatch, InvalidInstance
 from lqsolve.harness import InstanceSpec, generate_instance
@@ -17,7 +19,7 @@ from lqsolve.solvers import (IterationTrace, SolverConfig, SolverState,
                              gaita_run, jaita_run)
 
 from conftest import (bisect_root, gaita_update, plain_run, prox_vector_oracle,
-                      read_trace_csv, small_problem, sweep_oracle)
+                      read_trace_csv, refresh_oracle, small_problem, sweep_oracle)
 
 
 class TestGaitaUpdate:
@@ -107,7 +109,7 @@ class TestGaitaRun:
             for _ in range(p.n):
                 ref = gaita_update(ref, p, config)
             # the run loop refreshes the cached residual once per sweep
-            ref.residual = p.A @ ref.x - p.y
+            ref.residual = refresh_oracle(p.A, ref.x, p.y)[0]
         assert np.array_equal(state.x, ref.x)
 
     # (q, mu as a multiple of 1/L_max, sweeps, problem): the paper's two
@@ -123,7 +125,8 @@ class TestGaitaRun:
         for q, factor, sweeps, spec in self.KERNEL_CASES:
             p, _ = small_problem(q=q, **spec)
             x = np.zeros(p.n)
-            assert_sweeps_match(p, x, p.A @ x - p.y, factor / l_max(p.A), sweeps)
+            assert_sweeps_match(p, x, refresh_oracle(p.A, x, p.y)[0],
+                                factor / l_max(p.A), sweeps)
 
     def test_run_on_the_kernel_matches_the_run_on_the_oracle(self, monkeypatch):
         # gaita_run on the kernel's sweep and on the oracle sweep
@@ -228,17 +231,20 @@ def test_a_run_that_overflows_ends_diverged():
 
 def assert_sweeps_match(p, x, r, mu, sweeps):
     """Sweep x and r = A x - y with the kernel, and copies of them with the
-    oracle, refreshing r after each sweep: x and r keep the same bits."""
+    oracle, refreshing r after each sweep, the kernel's r with the kernel's
+    refresh and the copy with refresh_oracle: x and r keep the same bits."""
     params = ProxParams(c=p.lam * mu, q=p.q)
     xp, rp = x.copy(), r.copy()
     sweep_c = solvers._sweep(p.A, x, r, mu, params)
+    refresh_c = solvers._refresh(p.A, p.y, x, r)
     sweep_py = sweep_oracle(p.A, xp, rp, mu, params)
     for k in range(sweeps):
         assert 0 <= sweep_c() <= p.n  # the columns screening skipped
         sweep_py()
         assert x.tobytes() == xp.tobytes() and r.tobytes() == rp.tobytes(), k
-        r[:] = p.A @ x - p.y
-        rp[:] = p.A @ xp - p.y
+        rr = refresh_c()
+        rp[:], rr_py = refresh_oracle(p.A, xp, p.y)
+        assert r.tobytes() == rp.tobytes() and repr(rr) == repr(rr_py), k
 
 
 # residual lengths at and around the widths of the kernel's vector lanes
@@ -252,9 +258,47 @@ def test_kernel_matches_pure_python_at_every_lane_remainder(m):
     for offset in (0, 1):
         x = np.zeros(p.n + offset)[offset:]
         r = np.zeros(p.m + offset)[offset:]
-        r[:] = -p.y
+        r[:] = refresh_oracle(p.A, x, p.y)[0]
         assert_sweeps_match(p, x, r, 0.95 / l_max(p.A), 8)
         assert np.any(x != 0.0)  # the residual update ran
+
+
+# every remainder of the refresh's four-column groups, and a full support
+@pytest.mark.parametrize("support", [*range(10), 500])
+def test_refresh_matches_the_oracle(support):
+    # lq_refresh against refresh_oracle byte for byte, r and r . r.  Some of
+    # y's entries are zero and some of x's zeros are -0.0: with no support,
+    # adding the -0.0 columns would turn some of those entries of r from
+    # -0.0 to +0.0
+    rng = np.random.default_rng(support)
+    A = np.asfortranarray(rng.standard_normal((250, 500)))
+    y = rng.standard_normal(250)
+    y[::7] = 0.0
+    x = np.zeros(500)
+    x[rng.choice(500, support, replace=False)] = rng.standard_normal(support)
+    x[np.flatnonzero(x == 0.0)[::3]] = -0.0
+    r = np.full(250, np.nan)
+    rr = solvers._refresh(A, y, x, r)()
+    want, rr_want = refresh_oracle(A, x, y)
+    assert r.tobytes() == want.tobytes() and repr(rr) == repr(rr_want)
+    if support == 0:
+        assert np.signbit(r[y == 0.0]).all()
+
+
+def test_refresh_carries_an_infinite_x():
+    # an overflowed x: its infinities reach r and r . r as infinities, and,
+    # against a zero entry of A (inf * 0), as NaN, as in the oracle
+    A = np.asfortranarray(np.arange(12.0).reshape(4, 3) - 4.0)
+    x, y = np.array([np.inf, 0.5, -np.inf]), np.ones(4)
+    r = np.empty(4)
+    rr = solvers._refresh(A, y, x, r)()
+    with np.errstate(invalid="ignore"):
+        want, rr_want = refresh_oracle(A, x, y)
+    assert np.isnan(r).any() and np.isinf(r).any() and np.isnan(rr)
+    assert r.tobytes() == want.tobytes() and repr(rr) == repr(rr_want)
+    x[1:] = 0.0
+    rr = solvers._refresh(A, y, x, r)()
+    assert np.isinf(r[[0, 2, 3]]).all() and rr == np.inf
 
 
 @pytest.mark.parametrize("bad, error", [
@@ -276,12 +320,15 @@ def test_c_kernel_rejects_bad_arrays(bad, error):
         x = np.zeros(4)
     with pytest.raises(error):  # at bind time, before any pointer is used
         solvers._sweep(A, x, r, 0.1, ProxParams(c=0.01, q=0.5))
+    with pytest.raises(error):
+        solvers._refresh(A, np.zeros(4), x, r)
 
 
 def test_kernel_builds_into_an_empty_cache(tmp_path, monkeypatch):
     monkeypatch.setattr(_csweep, "CACHE", tmp_path)
-    sweep, prox, parse = _csweep.load()
-    assert sweep is not None and prox is not None and parse is not None
+    handles = _csweep.load()
+    assert [h.__name__ for h in handles] == ["lq_sweep", "lq_prox", "lq_parse",
+                                             "lq_refresh", "lq_dot"]
     assert [f.suffix for f in tmp_path.iterdir()] == [".so"]
 
 
@@ -309,13 +356,18 @@ def test_kernel_flags_keep_ieee_rounding():
 BLAS_CORE_TYPES = {"Sandybridge": "avx", "Haswell": "avx2", "SkylakeX": "avx512f"}
 
 
+def blas_core_types():
+    """The OpenBLAS x86 kernels this CPU runs."""
+    cpuinfo = Path("/proc/cpuinfo")
+    flags = set(cpuinfo.read_text().split()) if cpuinfo.exists() else set()
+    return [core for core, flag in BLAS_CORE_TYPES.items() if flag in flags]
+
+
 def test_sweep_bits_do_not_depend_on_the_blas_kernel():
     # one sweep from fixed random (A, x, r), with no gemv, in a fresh
     # process per OpenBLAS kernel: the sweep calls no BLAS, so the bytes
     # agree whichever kernel numpy's BLAS picked
-    cpuinfo = Path("/proc/cpuinfo")
-    flags = set(cpuinfo.read_text().split()) if cpuinfo.exists() else set()
-    cores = [core for core, flag in BLAS_CORE_TYPES.items() if flag in flags]
+    cores = blas_core_types()
     if len(cores) < 2:
         pytest.skip("the CPU runs fewer than two of OpenBLAS's x86 kernels")
     script = (
@@ -339,6 +391,39 @@ def test_sweep_bits_do_not_depend_on_the_blas_kernel():
         outputs.add(proc.stdout)
     assert len(outputs) == 1, outputs
     assert int(outputs.pop().split()[0]) > 0  # the sweep moved x
+
+
+def test_gaita_outputs_do_not_depend_on_the_blas_kernel(tmp_path):
+    # `lqsolve solve` (gaita, q = 1/2) in a fresh process per OpenBLAS
+    # kernel: the sweep, the refresh r = A x - y, r . r and the loop's norms
+    # run in the C kernel, so solution.csv and trace.csv have one hash, and
+    # summary.json the same flags, final_objective and final_rmse.  Its
+    # stationarity block comes from diagnostics, whose products go through
+    # the BLAS, so it may differ and is not compared.  The instance is
+    # generated once and read by every run: gen's y = A x_true is a BLAS
+    # product too
+    cores = blas_core_types()
+    if len(cores) < 2:
+        pytest.skip("the CPU runs fewer than two of OpenBLAS's x86 kernels")
+    src = str(Path(_csweep.__file__).parent.parent)
+    instance = tmp_path / "instance"
+    assert cli.main(["gen", "--out-dir", str(instance), "--quiet"]) == 0
+    runs = set()
+    for core in cores:
+        out = tmp_path / core
+        env = dict(os.environ, OPENBLAS_CORETYPE=core, OPENBLAS_NUM_THREADS="1",
+                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run([sys.executable, "-m", "lqsolve.cli", "solve",
+                               "--instance-dir", str(instance), "--q", "0.5",
+                               "--out-dir", str(out), "--quiet"],
+                              env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, (core, proc.stderr)
+        summary = json.loads((out / "summary.json").read_text())
+        runs.add((hashlib.sha256((out / "solution.csv").read_bytes()).hexdigest(),
+                  hashlib.sha256((out / "trace.csv").read_bytes()).hexdigest(),
+                  json.dumps(summary["flags"], sort_keys=True),
+                  repr(summary["final_objective"]), repr(summary["final_rmse"])))
+    assert len(runs) == 1, runs
 
 
 @pytest.mark.parametrize("fault, reason", [
@@ -533,11 +618,11 @@ class TestScreening:
         mu = 0.5
         params = ProxParams(c=p.lam * mu, q=p.q)
         x = np.zeros(p.n)
-        r = p.A @ x - p.y
+        r = refresh_oracle(p.A, x, p.y)[0]
         sweep = solvers._sweep(p.A, x, r, mu, params)
         for _ in range(150):
             sweep()
-            r[:] = p.A @ x - p.y
+            r[:] = refresh_oracle(p.A, x, p.y)[0]
         j = int(np.flatnonzero(x == 0.0)[0])
         col = p.A[:, j]
         r += 2.0 * params.tau / mu * col / (col @ col)
@@ -569,14 +654,14 @@ class TestScreening:
 def test_nan_objective_is_divergence(run, monkeypatch):
     # an objective that turns NaN ends the run flagged, rather than running
     # on to the cap
-    real = solvers.objective_from_residual
+    real = solvers.objective_from_rr
     calls = []
 
-    def nan_from_sweep_5(p, x, r):
+    def nan_from_sweep_5(p, x, rr):
         calls.append(None)
-        return real(p, x, r) if len(calls) <= 5 else float("nan")
+        return real(p, x, rr) if len(calls) <= 5 else float("nan")
 
-    monkeypatch.setattr(solvers, "objective_from_residual", nan_from_sweep_5)
+    monkeypatch.setattr(solvers, "objective_from_rr", nan_from_sweep_5)
     p, _ = small_problem(seed=3)
     bound = l_max if run is gaita_run else spectral_norm_sq
     _, trace = run(p, np.zeros(p.n),
