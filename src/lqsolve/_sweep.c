@@ -1,17 +1,22 @@
 /* gaita's cyclic sweep (lq_sweep) and the componentwise prox behind
  * prox.prox_vector (lq_prox), the only implementations lqsolve runs; the
- * run loop's residual refresh (lq_refresh) and the dot product behind its
- * norms (lq_dot); and lq_parse, which reads the body of an array file to
- * the bits float() gives.
+ * run loop's measures after each sweep, in one call (lq_measure): the
+ * residual refresh, r . r, the penalty sum, the squared step and distance
+ * to the reference, and the support size; the refresh (lq_refresh) and
+ * the penalty sum (lq_penalty) alone, and the dot product behind the
+ * RMSE's norms (lq_dot); and lq_parse, which reads the body of an array
+ * file to the bits float() gives.
  *
  * None of these calls the BLAS: the column dot product and the residual
  * update are here, so their bits depend on neither the BLAS library nor
- * the CPU.  The prox root-finder works in closed form at q = 1/2 and q = 2/3
- * and by Newton at any other q, which stops within prox.TOL or at the
- * first step that does not descend, and so cannot fail.  It runs
- * operation for operation as the Python oracles in the tests' conftest.py
- * do, so the two give the same bits: sqrt rounds correctly everywhere,
- * and Python's math module calls the same libm cbrt, acos, cos and pow.
+ * the CPU.  The penalty's powers come from libm's pow, as the tests'
+ * oracle takes them from Python's math.pow.  The prox root-finder works in
+ * closed form at q = 1/2 and q = 2/3 and by Newton at any other q, which
+ * stops within prox.TOL or at the first step that does not descend, and
+ * so cannot fail.  It runs operation for operation as the Python oracles
+ * in the tests' conftest.py do, so the two give the same bits: sqrt
+ * rounds correctly everywhere, and Python's math module calls the same
+ * libm cbrt, acos, cos and pow.
  * The dot product and the residual update run in AVX-512 or AVX2 lanes
  * where the CPU has them, with the same bits in every clone: each lane
  * multiplies and adds once, rounding each, in an order fixed by the
@@ -155,6 +160,14 @@ static double screen_enter(int64_t m, int64_t n, const double *r, double *st,
  * tests' conftest.py repeats this order in numpy. */
 #define LANES 32
 
+static double lanes_total(double *acc)
+{
+    for (int w = LANES / 2; w > 0; w /= 2)
+        for (int k = 0; k < w; k++)
+            acc[k] += acc[k + w];
+    return acc[0];
+}
+
 VECTOR_CLONES
 static double column_dot(int64_t m, const double *col, const double *r)
 {
@@ -165,10 +178,7 @@ static double column_dot(int64_t m, const double *col, const double *r)
             acc[k] += col[j + k] * r[j + k];
     for (int k = 0; j + k < m; k++)
         acc[k] += col[j + k] * r[j + k];
-    for (int w = LANES / 2; w > 0; w /= 2)
-        for (int k = 0; k < w; k++)
-            acc[k] += acc[k + w];
-    return acc[0];
+    return lanes_total(acc);
 }
 
 /* r += d * col, with the bits of numpy's r += d * A[:, i] in every clone. */
@@ -220,10 +230,64 @@ double lq_refresh(int64_t m, int64_t n, const double *a, const double *x,
     return column_dot(m, r, r);
 }
 
-/* a . b, summed as column_dot sums: the run loop's norms. */
+/* a . b, summed as column_dot sums: the norms of the RMSE. */
 double lq_dot(int64_t m, const double *a, const double *b)
 {
     return column_dot(m, a, b);
+}
+
+/* ||u - v||^2 for u, v of length n, through diff = u - v, summed as
+ * column_dot sums. */
+static double distance_sq(int64_t n, const double *u, const double *v,
+                          double *diff)
+{
+    for (int64_t i = 0; i < n; i++)
+        diff[i] = u[i] - v[i];
+    return column_dot(n, diff, diff);
+}
+
+/* The sum of |x_i|^q, each power from libm's pow, over the x_i != 0 (a
+ * NaN counts as nonzero), with *support set to their count.  The powers
+ * are added in column_dot's lanes by index, so the sum has the bits of
+ * column_dot over all n powers against ones: a zero entry would add
+ * exactly 0 to a partial sum that is +0.0, positive or NaN. */
+static double penalty(int64_t n, const double *x, double q, int64_t *support)
+{
+    double acc[LANES] = {0.0};
+    int64_t k = 0;
+    for (int64_t i = 0; i < n; i++) {
+        if (x[i] != 0.0) {
+            acc[i % LANES] += pow(fabs(x[i]), q);
+            k++;
+        }
+    }
+    *support = k;
+    return lanes_total(acc);
+}
+
+/* The penalty sum alone: the objective's outside the run loop. */
+double lq_penalty(int64_t n, const double *x, double q)
+{
+    int64_t support;
+    return penalty(n, x, q, &support);
+}
+
+/* What the run loop measures after a sweep, in one call, with diff
+ * scratch space of n doubles: out[0] = ||x - x_before||^2; out[1] = r . r
+ * once r = a x - y is refreshed as lq_refresh does; out[2] the penalty
+ * sum; out[3] = ||x - ref||^2, or NaN when ref is NULL.  Then x_before =
+ * x, for the next sweep.  Returns the support size. */
+int64_t lq_measure(int64_t m, int64_t n, const double *a, const double *x,
+                   double *x_before, const double *y, double *r,
+                   const double *ref, double q, double *diff, double *out)
+{
+    int64_t support;
+    out[0] = distance_sq(n, x, x_before, diff);
+    out[1] = lq_refresh(m, n, a, x, y, r);
+    out[2] = penalty(n, x, q, &support);
+    out[3] = ref != NULL ? distance_sq(n, x, ref, diff) : NAN;
+    memcpy(x_before, x, (size_t)n * sizeof(double));
+    return support;
 }
 
 /* Sweep the n columns of the column-major m x n matrix a, updating x and

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _csweep
 from .errors import AsymmetricMatrix, DimensionMismatch, InvalidInstance
 
 
@@ -127,14 +128,8 @@ def objective(p, x):
 
 def objective_from_rr(p, x, rr):
     """The objective 0.5 * rr + lam * sum |x_i|^q, given rr = ||A x - y||^2
-    however the caller summed it.
-
-    Only the nonzero entries are raised to the power q.  They are scattered
-    back among zeros before the sum, which keeps numpy's pairwise summation
-    order and so the bits of the sum of |x_i|^q over all entries; summing
-    the nonzero powers alone would round differently.
-    """
-    nz = x != 0.0
-    powers = np.zeros(x.shape[0])
-    powers[nz] = np.abs(x[nz]) ** p.q
-    return 0.5 * rr + p.lam * float(powers.sum())
+    however the caller summed it.  The penalty sum is the C kernel's
+    (lq_penalty), which the run loop's measure also takes: each nonzero's
+    power from libm's pow, summed in the kernel's lane order."""
+    x = np.ascontiguousarray(x, dtype=np.float64)
+    return 0.5 * rr + p.lam * _csweep.lq_penalty(x.shape[0], x.ctypes.data, p.q)

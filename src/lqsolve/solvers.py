@@ -13,15 +13,17 @@ mu, params)``: ``_sweep``, the C kernel's sweep, for gaita, and
 ``_jacobi_step`` for jaita.  The C binding takes its arrays' pointers and
 owns its screening state: the sweep always screens, skipping a zero
 coordinate's dot product while a bound proves it stays zero, with every
-output unchanged.  The loop binds the kernel's residual refresh
-(``_refresh``) and norms (``_distance``) the same way, once per run.  The
-sweep, the refresh r = A x - y, its square r . r and the norms behind
-step_norm and the RMSE are computed in the kernel, so gaita's bits do not
-depend on the BLAS; jaita's A^T r and its default step size (||A||_2^2)
-use numpy's BLAS, and theirs may.  The prox tolerance is the constant
-prox.TOL.  default_mu gives each solver's default step size.
+output unchanged.  The loop binds the kernel's measure (``_measure``)
+the same way, once per run, and calls it once after each sweep: one C
+call refreshes r = A x - y and gives r . r, the penalty sum, the squared
+step and distance to the reference, and the support size.  So the sweep
+and everything the trace records are computed in the kernel, and gaita's
+bits do not depend on the BLAS; jaita's A^T r and its default step size
+(||A||_2^2) use numpy's BLAS, and theirs may.  The prox tolerance is the
+constant prox.TOL.  default_mu gives each solver's default step size.
 """
 
+import ctypes
 import math
 from dataclasses import dataclass
 
@@ -113,9 +115,8 @@ class IterationTrace:
         self.iterates = []      # optional float arrays, aligned with rows
         self.flags = {}
 
-    def record(self, sweep, n, obj, step_norm, x, rmse, keep_iterate):
-        self.rows.append((sweep, n, obj, step_norm,
-                          int(np.count_nonzero(x)), rmse))
+    def record(self, sweep, n, obj, step_norm, support, rmse, x, keep_iterate):
+        self.rows.append((sweep, n, obj, step_norm, support, rmse))
         if keep_iterate:
             self.iterates.append(x.copy())
 
@@ -226,24 +227,47 @@ def _refresh(A, y, x, r):
 # ---------------------------------------------------------------------------
 # run loops
 
+def _measure(p, x, x_before, r, ref):
+    """Bind what the run loop measures after a sweep, the C kernel's
+    lq_measure, to x, x_before and r: returns a function of no arguments
+    that returns (objective, step_norm, rmse, support_size) and leaves
+    x_before = x for the next sweep.
+
+    In one call the kernel refreshes r = A x - y as _refresh does and sums
+    r . r, the penalty, ||x - x_before||^2 and ||x - ref||^2 in its lane
+    order; Python takes the square roots and forms the objective
+    0.5 * r . r + lam * penalty (objective_from_rr's bits) and the rmse
+    ||x - ref|| / ||ref|| (_rmse_vs's bits; nan without a reference).  As
+    with _sweep, x, x_before and r must change only in place.
+    """
+    _check_kernel_arrays(p.A, x, r)
+    _check_kernel_arrays(p.A, x_before, r)
+    if ref is not None:
+        ref = core.as_vector(ref, "the RMSE reference")
+        if ref.shape[0] != p.n:
+            raise DimensionMismatch(f"the RMSE reference has length {ref.shape[0]}, "
+                                    f"expected {p.n}")
+    ref_norm = math.nan if ref is None else _norm(ref)
+    diff, out = np.empty(p.n), (ctypes.c_double * 4)()
+    lq_measure, lam = _csweep.lq_measure, p.lam
+    args = (p.m, p.n, p.A.ctypes.data, x.ctypes.data, x_before.ctypes.data,
+            p.y.ctypes.data, r.ctypes.data, None if ref is None else ref.ctypes.data,
+            p.q, diff.ctypes.data, ctypes.addressof(out))
+
+    def measure():
+        support = lq_measure(*args)
+        d2, rr, pen, e2 = out
+        return 0.5 * rr + lam * pen, math.sqrt(d2), math.sqrt(e2) / ref_norm, support
+
+    measure.arrays = (p.A, p.y, x, x_before, r, ref, diff, out)  # keeps the memory alive
+    return measure
+
+
 def _norm(v):
     """The 2-norm of a 1-d vector, its squares summed in the kernel
     (lq_dot), with no BLAS: an infinite entry gives inf."""
     v = np.ascontiguousarray(v, dtype=np.float64)
     return math.sqrt(_csweep.lq_dot(v.shape[0], v.ctypes.data, v.ctypes.data))
-
-
-def _distance(u, v):
-    """Bind ||u - v|| to u and v: returns a function of no arguments that
-    gives _norm(u - v), bit for bit, through a buffer of its own."""
-    diff = np.empty(u.shape[0])
-    lq_dot, args = _csweep.lq_dot, (diff.shape[0], diff.ctypes.data, diff.ctypes.data)
-
-    def distance():
-        np.subtract(u, v, out=diff)
-        return math.sqrt(lq_dot(*args))
-
-    return distance
 
 
 def _rmse_vs(x, ref):
@@ -257,24 +281,23 @@ def _run(p, x0, config, algorithm, bind, mu_bound, updates_per_sweep):
 
     ``bind(A, x, r, mu, params)`` is called once, before the first sweep,
     and returns ``step()``, which does one sweep in place on x and r.  The
-    loop copies x into x_before first and measures the step once: stop
-    "iterate_change" compares step_norm = ||x - x_before|| with config.tol,
-    and the trace records it.  It refreshes r = A x - y after every sweep
-    (lq_refresh, which also gives the objective its r . r), records, and
-    applies the stop rule and the divergence guard.  It changes x and r
-    only in place and never rebinds them, so a step, the refresh and the
-    norms may hold their memory for the whole run, as the C sweep does.
-    ``mu_bound(A)`` is the curvature bound whose inverse the step size
-    should stay below.
+    loop fills x_before = x once, then after each sweep makes one kernel
+    call (_measure) for the step_norm ||x - x_before||, the refreshed
+    r = A x - y with the objective, the rmse and the support size, which
+    also moves x_before on to x.  Every decision stays here: stop
+    "iterate_change" compares step_norm with config.tol, the divergence
+    guard reads the objective, and the loop picks the rows to record.  It
+    changes x and r only in place and never rebinds them, so a step and
+    the measure may hold their memory for the whole run, as the C sweep
+    does.  ``mu_bound(A)`` is the curvature bound whose inverse the step
+    size should stay below.
     numpy's overflow and invalid-value warnings are off throughout: the
     divergence guard is what reports an objective that overflows.
     """
     params = ProxParams(c=p.lam * config.mu, q=p.q)
     state = SolverState.initial(p, x0)
-    ref = config.reference
-    if ref is not None and ref.shape[0] != p.n:
-        raise DimensionMismatch(f"the RMSE reference has length {ref.shape[0]}, "
-                                f"expected {p.n}")
+    x, r = state.x, state.residual
+    measure = _measure(p, x, x.copy(), r, config.reference)
     trace = IterationTrace()
     trace.flags = {
         "algorithm": algorithm,
@@ -284,33 +307,18 @@ def _run(p, x0, config, algorithm, bind, mu_bound, updates_per_sweep):
         "did_not_converge": False,
         "sweeps": 0,
     }
-    obj0 = state.objective
+    obj0, _, rmse, support = measure()  # state.objective's bits
     guard = DIVERGENCE_FACTOR * obj0 if obj0 > 0 else DIVERGENCE_FACTOR
-
-    x, r = state.x, state.residual
-    if ref is None:
-        rmse_of = lambda: math.nan
-    else:
-        ref_norm, to_ref = _norm(ref), _distance(x, ref)
-        rmse_of = lambda: to_ref() / ref_norm  # _rmse_vs's bits
-    trace.record(0, 0, state.objective, math.nan, x, rmse_of(),
-                 config.record_iterates)
+    trace.record(0, 0, obj0, math.nan, support, rmse, x, config.record_iterates)
     if not (obj0 <= guard < math.inf):  # a NaN, infinite or near-overflow start
         trace.flags["diverged"] = True
         return state, trace
 
     step = bind(p.A, x, r, config.mu, params)
-    refresh = _refresh(p.A, p.y, x, r)
-    x_before = np.empty_like(x)
-    step_norm_of = _distance(x, x_before)
     sweep = 0
     for sweep in range(1, config.max_sweeps + 1):
-        x_before[:] = x
         step()
-        step_norm = step_norm_of()
-        # per-sweep refresh bounds rank-1 drift
-        state.objective = objective_from_rr(p, x, refresh())
-        rmse = rmse_of()
+        state.objective, step_norm, rmse, support = measure()
 
         diverged = not (state.objective <= guard)
         stop = config.stop != "cap" and (
@@ -319,7 +327,7 @@ def _run(p, x0, config, algorithm, bind, mu_bound, updates_per_sweep):
         if (stop or diverged or sweep % config.record_every == 0
                 or sweep == config.max_sweeps):
             trace.record(sweep, sweep * updates_per_sweep, state.objective,
-                         step_norm, x, rmse, config.record_iterates)
+                         step_norm, support, rmse, x, config.record_iterates)
         if diverged:
             trace.flags["diverged"] = True
             break

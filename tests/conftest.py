@@ -6,9 +6,9 @@ half-thresholding formula for q = 1/2, bisection on the quartic whose root
 gives the q = 2/3 operator, cyclic Jacobi rotations for
 eigenvalues, plain bisection for the monotone scalar equation, and a run
 loop that computes every sweep.  The Python root-finder, column dot
-product, coordinate update, sweep and residual refresh here are the
-oracles the C kernel in _sweep.c is checked against bit for bit: the same
-operations in the same order, in Python and numpy.
+product, coordinate update, sweep, residual refresh and penalty sum here
+are the oracles the C kernel in _sweep.c is checked against bit for bit:
+the same operations in the same order, in Python and numpy.
 """
 
 import csv
@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 from lqsolve import solvers
-from lqsolve.core import ProblemInstance, l_max, objective_from_rr, spectral_norm_sq
+from lqsolve.core import ProblemInstance, l_max, spectral_norm_sq
 from lqsolve.errors import InvalidInstance
 from lqsolve.harness import InstanceSpec, generate_instance
 from lqsolve.prox import TOL, ProxParams
@@ -221,6 +221,15 @@ def refresh_oracle(A, x, y):
     return r, lane_dot(r, r)
 
 
+def penalty_oracle(x, q):
+    """sum |x_i|^q as _sweep.c's lq_penalty computes it: math.pow (libm's
+    pow) of each nonzero |x_i| (NaN included) and 0.0 for each zero, the
+    dense powers then summed by lane_dot."""
+    powers = np.array([math.pow(abs(v), q) if v != 0.0 else 0.0
+                       for v in np.asarray(x, dtype=np.float64).tolist()])
+    return lane_dot(powers, np.ones(powers.shape[0]))
+
+
 def lane_norm(v):
     """||v||, its squares summed by lane_dot, as the run loop's norms are."""
     return math.sqrt(lane_dot(v, v))
@@ -245,8 +254,8 @@ def gaita_update(state, p, config):
     x, r = state.x.copy(), state.residual.copy()
     coordinate_step(p.A, x, r, config.mu, ProxParams(c=p.lam * config.mu, q=p.q),
                     state.n % p.n)
-    return solvers.SolverState(x=x, n=state.n + 1, residual=r,
-                               objective=objective_from_rr(p, x, lane_dot(r, r)))
+    obj = 0.5 * lane_dot(r, r) + p.lam * penalty_oracle(x, p.q)
+    return solvers.SolverState(x=x, n=state.n + 1, residual=r, objective=obj)
 
 
 def sweep_oracle(A, x, r, mu, params):
@@ -278,13 +287,14 @@ def plain_run(p, x0, config, algorithm):
     sweep runs the oracle step (gaita: sweep_oracle, which computes every
     coordinate; jaita: one thresholded gradient step through
     prox_vector_oracle), then its step_norm ||x - x_before||, r = A x - y
-    (refresh_oracle), the objective and the RMSE, the norms by lane_norm.
+    (refresh_oracle), the objective (its penalty by penalty_oracle), the
+    RMSE and the support size, the norms by lane_norm.
     Returns (x, r, objective, trace) for bit-for-bit comparison with
     gaita_run / jaita_run."""
     params = ProxParams(c=p.lam * config.mu, q=p.q)
     x = np.array(x0, dtype=np.float64)
     r, rr = refresh_oracle(p.A, x, p.y)
-    obj = objective_from_rr(p, x, rr)
+    obj = 0.5 * rr + p.lam * penalty_oracle(x, p.q)
     ref = config.reference
     rmse = lambda: (lane_norm(x - ref) / lane_norm(ref)
                     if ref is not None else math.nan)
@@ -296,7 +306,8 @@ def plain_run(p, x0, config, algorithm):
                    "converged": False, "diverged": False,
                    "did_not_converge": False, "sweeps": 0}
     guard = 1e6 * obj if obj > 0 else 1e6
-    trace.record(0, 0, obj, math.nan, x, rmse(), config.record_iterates)
+    trace.record(0, 0, obj, math.nan, int(np.count_nonzero(x)), rmse(), x,
+                 config.record_iterates)
     if not (obj <= guard < math.inf):
         trace.flags["diverged"] = True
         return x, r, obj, trace
@@ -321,7 +332,7 @@ def plain_run(p, x0, config, algorithm):
         step_once()
         step = lane_norm(x - x_before)
         r[:], rr = refresh_oracle(p.A, x, p.y)
-        obj = objective_from_rr(p, x, rr)
+        obj = 0.5 * rr + p.lam * penalty_oracle(x, p.q)
         e = rmse()
         diverged = not obj <= guard
         stop = (step <= config.tol if config.stop == "iterate_change"
@@ -329,8 +340,8 @@ def plain_run(p, x0, config, algorithm):
                 else False)
         if (stop or diverged or sweep % config.record_every == 0
                 or sweep == config.max_sweeps):
-            trace.record(sweep, sweep * per_sweep, obj, step, x, e,
-                         config.record_iterates)
+            trace.record(sweep, sweep * per_sweep, obj, step,
+                         int(np.count_nonzero(x)), e, x, config.record_iterates)
         if diverged or stop:
             trace.flags["diverged" if diverged else "converged"] = True
             break

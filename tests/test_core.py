@@ -9,7 +9,7 @@ from lqsolve.core import (ProblemInstance, column_norms_sq, l_max,
 from lqsolve.errors import AsymmetricMatrix, DimensionMismatch, InvalidInstance
 from lqsolve.harness import InstanceSpec, generate_instance
 
-from conftest import jacobi_eigenvalues
+from conftest import jacobi_eigenvalues, penalty_oracle
 
 
 class TestColumnNorms:
@@ -143,12 +143,15 @@ class TestObjective:
 
     @pytest.mark.parametrize("q", [0.1, 0.5, 2.0 / 3.0, 0.9])
     def test_sparse_power_sum_is_the_dense_one_bit_for_bit(self, q, rng):
-        # the solvers' loop and the oracle plain_run in conftest both call
-        # objective_from_rr, so its bits are pinned here against the
-        # formula that raises every entry to the power q
+        # the kernel raises only the nonzero entries to the power q and
+        # adds them in its lanes by index; penalty_oracle raises every
+        # entry (math.pow, the same libm pow) and sums the dense powers by
+        # lane_dot.  With lam = 1 and rr = 0 the objective is the sum
+        # itself.  numpy's x ** q cannot be the pin: its power loop rounds
+        # differently from libm's pow in some entries
         for n in (1, 7, 9, 130, 500, 1031):
-            p = ProblemInstance(A=np.ones((2, n)), y=np.zeros(2), lam=0.37, q=q)
-            for kind in ("sparse", "dense", "zero"):
+            p = ProblemInstance(A=np.ones((2, n)), y=np.zeros(2), lam=1.0, q=q)
+            for kind in ("sparse", "dense", "zero", "inf", "nan"):
                 for _ in range(20):
                     x = rng.standard_normal(n) * 10.0 ** rng.integers(-3, 4, n)
                     if kind == "sparse":
@@ -159,8 +162,11 @@ class TestObjective:
                     x[spots[0]] = -0.0
                     if kind != "zero":
                         x[spots[1]] = rng.choice([5e-324, -1e-310, 2.2e-308])
-                    r = rng.standard_normal(2)
-                    rr = float(r @ r)
-                    dense = 0.5 * rr + p.lam * float(np.sum(np.abs(x) ** q))
-                    got = objective_from_rr(p, x, rr)
-                    assert repr(got) == repr(dense), (n, kind)
+                    if kind == "inf":
+                        x[spots[2]] = rng.choice([np.inf, -np.inf])
+                    elif kind == "nan":
+                        x[spots[2]] = np.nan
+                    got = objective_from_rr(p, x, 0.0)
+                    assert repr(got) == repr(penalty_oracle(x, q)), (n, kind)
+                    if kind in ("inf", "nan"):
+                        assert repr(got) == ("inf" if kind == "inf" else "nan")

@@ -6,6 +6,7 @@ import subprocess
 import sys
 import warnings
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -18,8 +19,9 @@ from lqsolve.prox import ProxParams, prox_vector
 from lqsolve.solvers import (IterationTrace, SolverConfig, SolverState,
                              gaita_run, jaita_run)
 
-from conftest import (bisect_root, gaita_update, plain_run, prox_vector_oracle,
-                      read_trace_csv, refresh_oracle, small_problem, sweep_oracle)
+from conftest import (bisect_root, gaita_update, lane_norm, penalty_oracle,
+                      plain_run, prox_vector_oracle, read_trace_csv, refresh_oracle,
+                      small_problem, sweep_oracle)
 
 
 class TestGaitaUpdate:
@@ -301,6 +303,54 @@ def test_refresh_carries_an_infinite_x():
     assert np.isinf(r[[0, 2, 3]]).all() and rr == np.inf
 
 
+def measure_case(case):
+    """(problem, x0, reference) for test_measure_matches_the_oracles."""
+    if case == "inf":
+        # mu = 1e300 below makes the first forward step overflow
+        p = ProblemInstance(A=np.full((4, 3), 0.5), y=np.full(4, -1e150),
+                            lam=0.01, q=0.9)
+        return p, np.zeros(3), np.array([1.0, -2.0, 0.5])
+    if case == "signed_zero":
+        # y = 0 keeps every coordinate at zero
+        p, _ = small_problem(seed=5)
+        p = ProblemInstance(A=p.A, y=np.zeros(p.m), lam=p.lam, q=p.q)
+        return p, np.full(p.n, -0.0), None
+    p, inst = small_problem(seed=5, q=2 / 3)
+    x0 = np.zeros(p.n)
+    x0[::3] = -0.0
+    x0[np.flatnonzero(inst.x_true)] = 0.9 * inst.x_true[inst.x_true != 0.0]
+    x0[1] = 0.3
+    return p, x0, inst.x_true if case == "ref" else None
+
+
+@pytest.mark.parametrize("case", ["ref", "no_ref", "signed_zero", "inf"])
+@pytest.mark.parametrize("algorithm", ["gaita", "jaita"])
+def test_measure_matches_the_oracles(algorithm, case):
+    # the run loop's one kernel call after a step, against the oracles byte
+    # for byte: the step norm, the refreshed r and its objective, the rmse
+    # and the support size; and it leaves x_before = x
+    p, x0, ref = measure_case(case)
+    mu = 1e300 if case == "inf" else solvers.default_mu(algorithm, p.A)
+    bind = solvers._sweep if algorithm == "gaita" else solvers._jacobi_step
+    x, x_before, r = x0.copy(), x0.copy(), np.empty(p.m)
+    with np.errstate(over="ignore", invalid="ignore"):
+        solvers._refresh(p.A, p.y, x, r)()
+        bind(p.A, x, r, mu, ProxParams(c=p.lam * mu, q=p.q))()
+        got = solvers._measure(p, x, x_before, r, ref)()
+        r_want, rr = refresh_oracle(p.A, x, p.y)
+        want = (0.5 * rr + p.lam * penalty_oracle(x, p.q), lane_norm(x - x0),
+                lane_norm(x - ref) / lane_norm(ref) if ref is not None else np.nan,
+                int(np.count_nonzero(x)))
+    assert repr(got) == repr(want)
+    assert r.tobytes() == r_want.tobytes() and x_before.tobytes() == x.tobytes()
+    if case == "signed_zero":  # -0.0 to 0.0 is no step
+        assert got[:2] == (0.0, 0.0) and got[3] == 0
+    elif case == "inf":
+        assert np.isinf(x).any() and got[1] == got[2] == np.inf
+    else:
+        assert got[1] > 0.0 and got[3] > 0
+
+
 @pytest.mark.parametrize("bad, error", [
     ("c_ordered_A", InvalidInstance), ("float32_x", InvalidInstance),
     ("read_only_x", InvalidInstance), ("short_r", DimensionMismatch),
@@ -322,13 +372,17 @@ def test_c_kernel_rejects_bad_arrays(bad, error):
         solvers._sweep(A, x, r, 0.1, ProxParams(c=0.01, q=0.5))
     with pytest.raises(error):
         solvers._refresh(A, np.zeros(4), x, r)
+    p = SimpleNamespace(A=A, y=np.zeros(4), lam=0.01, q=0.5, m=4, n=3)
+    with pytest.raises(error):
+        solvers._measure(p, x, np.zeros(3), r, None)
 
 
 def test_kernel_builds_into_an_empty_cache(tmp_path, monkeypatch):
     monkeypatch.setattr(_csweep, "CACHE", tmp_path)
     handles = _csweep.load()
     assert [h.__name__ for h in handles] == ["lq_sweep", "lq_prox", "lq_parse",
-                                             "lq_refresh", "lq_dot"]
+                                             "lq_measure", "lq_refresh",
+                                             "lq_penalty", "lq_dot"]
     assert [f.suffix for f in tmp_path.iterdir()] == [".so"]
 
 
@@ -653,15 +707,21 @@ class TestScreening:
 @pytest.mark.parametrize("run", [gaita_run, jaita_run])
 def test_nan_objective_is_divergence(run, monkeypatch):
     # an objective that turns NaN ends the run flagged, rather than running
-    # on to the cap
-    real = solvers.objective_from_rr
-    calls = []
+    # on to the cap.  The loop measures once for row 0, then once a sweep:
+    # from the sixth call, sweep 5's, the measured objective is NaN
+    bind = solvers._measure
 
-    def nan_from_sweep_5(p, x, rr):
-        calls.append(None)
-        return real(p, x, rr) if len(calls) <= 5 else float("nan")
+    def nan_from_sweep_5(*args):
+        measure, calls = bind(*args), []
 
-    monkeypatch.setattr(solvers, "objective_from_rr", nan_from_sweep_5)
+        def measured():
+            calls.append(None)
+            obj, *rest = measure()
+            return (obj if len(calls) <= 5 else float("nan"), *rest)
+
+        return measured
+
+    monkeypatch.setattr(solvers, "_measure", nan_from_sweep_5)
     p, _ = small_problem(seed=3)
     bound = l_max if run is gaita_run else spectral_norm_sq
     _, trace = run(p, np.zeros(p.n),
