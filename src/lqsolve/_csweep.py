@@ -7,12 +7,11 @@ concurrent first imports never load a half-written file.  Later imports
 only hash the source and load the cached file.  It is loaded once, here:
 ``lq_sweep`` (gaita's sweep), ``lq_prox`` (the prox behind
 ``prox.prox_vector``), ``lq_parse`` (``cli.read_array``'s parser, the
-only reader of array files), ``lq_measure`` (what the run loop measures
-after each sweep: the step, the residual refresh and r . r, the penalty
-sum, the distance to the reference and the support), ``lq_refresh`` (the
-initial residual), ``lq_penalty`` (the penalty sum, for the objective
-outside the loop) and ``lq_dot`` (the dot product behind the RMSE's
-norms) hold the handles.  The kernel calls no BLAS: it computes its own dot
+only reader of array files), ``lq_measure`` (the one measure of an
+iterate, behind the run loop and ``core.objective``: the step, the
+residual refresh and r . r, the penalty sum, the distance to the
+reference and the support) and ``lq_dot`` (the dot product behind the
+RMSE's norms) hold the handles.  The kernel calls no BLAS: it computes its own dot
 products, so it loads with any numpy build.  Where the kernel cannot be
 built or loaded, importing lqsolve raises Unavailable, whose message
 names the cause.
@@ -68,8 +67,8 @@ def _build(target):
 
 
 def load():
-    """Return (lq_sweep, lq_prox, lq_parse, lq_measure, lq_refresh,
-    lq_penalty, lq_dot), building the kernel if needed."""
+    """Return (lq_sweep, lq_prox, lq_parse, lq_measure, lq_dot), building
+    the kernel if needed."""
     try:
         source = SOURCE.read_bytes()
     except OSError:
@@ -83,11 +82,10 @@ def load():
     except OSError as exc:
         raise Unavailable(f"cannot load {target.name}: {exc}") from None
     sweep, prox, parse = lib.lq_sweep, lib.lq_prox, lib.lq_parse
-    measure, refresh = lib.lq_measure, lib.lq_refresh
-    penalty, dot = lib.lq_penalty, lib.lq_dot
+    measure, dot = lib.lq_measure, lib.lq_dot
     sweep.restype = parse.restype = measure.restype = ctypes.c_int64
     prox.restype = None
-    refresh.restype = penalty.restype = dot.restype = ctypes.c_double
+    dot.restype = ctypes.c_double
     sweep.argtypes = ([ctypes.c_int64] * 2 + [ctypes.c_void_p] * 3
                       + [ctypes.c_double] * 6 + [ctypes.c_void_p])
     prox.argtypes = ([ctypes.c_int64] + [ctypes.c_void_p] * 2
@@ -98,10 +96,8 @@ def load():
     # ref may be None, which passes NULL
     measure.argtypes = ([ctypes.c_int64] * 2 + [ctypes.c_void_p] * 6
                         + [ctypes.c_double] + [ctypes.c_void_p] * 2)
-    refresh.argtypes = [ctypes.c_int64] * 2 + [ctypes.c_void_p] * 4
-    penalty.argtypes = [ctypes.c_int64, ctypes.c_void_p, ctypes.c_double]
     dot.argtypes = [ctypes.c_int64] + [ctypes.c_void_p] * 2
-    return sweep, prox, parse, measure, refresh, penalty, dot
+    return sweep, prox, parse, measure, dot
 
 
-lq_sweep, lq_prox, lq_parse, lq_measure, lq_refresh, lq_penalty, lq_dot = load()
+lq_sweep, lq_prox, lq_parse, lq_measure, lq_dot = load()

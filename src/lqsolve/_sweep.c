@@ -1,11 +1,11 @@
 /* gaita's cyclic sweep (lq_sweep) and the componentwise prox behind
  * prox.prox_vector (lq_prox), the only implementations lqsolve runs; the
- * run loop's measures after each sweep, in one call (lq_measure): the
- * residual refresh, r . r, the penalty sum, the squared step and distance
- * to the reference, and the support size; the refresh (lq_refresh) and
- * the penalty sum (lq_penalty) alone, and the dot product behind the
- * RMSE's norms (lq_dot); and lq_parse, which reads the body of an array
- * file to the bits float() gives.
+ * one measure of an iterate (lq_measure), which the run loop takes after
+ * each sweep and core.objective takes once: the residual refresh, r . r,
+ * the penalty sum, the squared step and distance to the reference, and
+ * the support size; the dot product behind the RMSE's norms (lq_dot); and
+ * lq_parse, which reads the body of an array file to the bits float()
+ * gives.
  *
  * None of these calls the BLAS: the column dot product and the residual
  * update are here, so their bits depend on neither the BLAS library nor
@@ -207,8 +207,8 @@ static void residual_update4(int64_t m, const double *d,
  * nonzero), four columns per pass over r.  The work is the support's, and
  * the bits are those of adding one column at a time.  Returns r . r,
  * summed as column_dot sums. */
-double lq_refresh(int64_t m, int64_t n, const double *a, const double *x,
-                  const double *y, double *r)
+static double refresh(int64_t m, int64_t n, const double *a, const double *x,
+                      const double *y, double *r)
 {
     const double *col[4];
     double d[4];
@@ -265,25 +265,18 @@ static double penalty(int64_t n, const double *x, double q, int64_t *support)
     return lanes_total(acc);
 }
 
-/* The penalty sum alone: the objective's outside the run loop. */
-double lq_penalty(int64_t n, const double *x, double q)
-{
-    int64_t support;
-    return penalty(n, x, q, &support);
-}
-
-/* What the run loop measures after a sweep, in one call, with diff
- * scratch space of n doubles: out[0] = ||x - x_before||^2; out[1] = r . r
- * once r = a x - y is refreshed as lq_refresh does; out[2] the penalty
- * sum; out[3] = ||x - ref||^2, or NaN when ref is NULL.  Then x_before =
- * x, for the next sweep.  Returns the support size. */
+/* The measure of an iterate x, in one call, with diff scratch space of n
+ * doubles: out[0] = ||x - x_before||^2; out[1] = r . r once r = a x - y
+ * is refreshed; out[2] the penalty sum; out[3] = ||x - ref||^2, or NaN
+ * when ref is NULL.  Then x_before = x, for the next sweep.  Returns the
+ * support size. */
 int64_t lq_measure(int64_t m, int64_t n, const double *a, const double *x,
                    double *x_before, const double *y, double *r,
                    const double *ref, double q, double *diff, double *out)
 {
     int64_t support;
     out[0] = distance_sq(n, x, x_before, diff);
-    out[1] = lq_refresh(m, n, a, x, y, r);
+    out[1] = refresh(m, n, a, x, y, r);
     out[2] = penalty(n, x, q, &support);
     out[3] = ref != NULL ? distance_sq(n, x, ref, diff) : NAN;
     memcpy(x_before, x, (size_t)n * sizeof(double));

@@ -26,7 +26,7 @@ import numpy as np
 
 from .core import ProblemInstance
 from .errors import InvalidInstance
-from .solvers import SolverConfig, _rmse_vs, default_mu, gaita_run, jaita_run
+from .solvers import SolverConfig, default_mu, gaita_run, jaita_run
 from . import core
 
 PRESETS = ("fig1", "fig3", "fig4", "mu_sweep")
@@ -50,6 +50,8 @@ class InstanceSpec:
     def __post_init__(self):
         if self.m < 1 or self.n < 1 or not (0 <= self.k_star <= self.n):
             raise InvalidInstance(f"bad instance dimensions: {self}")
+        if self.snr_db is not None and math.isnan(self.snr_db):
+            raise InvalidInstance("snr_db must not be NaN")
 
 
 @dataclass(frozen=True)
@@ -65,7 +67,8 @@ class GeneratedInstance:
 
 def add_noise_snr(signal, snr_db, seed):
     """Add Gaussian noise scaled so ||signal||^2 / ||noise||^2 is exactly
-    10^(snr_db/10).  snr_db >= 300 returns the signal unchanged."""
+    10^(snr_db/10).  snr_db >= 300 returns the signal unchanged; an snr_db
+    whose noise scale is not finite and positive is refused."""
     signal = core.as_vector(signal, "signal")
     norm = float(np.linalg.norm(signal))
     if norm == 0.0:
@@ -74,7 +77,12 @@ def add_noise_snr(signal, snr_db, seed):
         return signal.copy()
     rng = np.random.default_rng(seed)
     eps = rng.standard_normal(signal.shape[0])
-    eps *= norm / (float(np.linalg.norm(eps)) * 10.0 ** (snr_db / 20.0))
+    denom = float(np.linalg.norm(eps)) * 10.0 ** (snr_db / 20.0)
+    scale = norm / denom if denom > 0.0 else math.inf
+    if not (0.0 < scale < math.inf):
+        raise InvalidInstance(f"snr_db={snr_db} gives a noise scale of {scale}, "
+                              "not a finite positive one")
+    eps *= scale
     return signal + eps
 
 
@@ -99,15 +107,17 @@ def generate_instance(spec):
 
 def rmse(x, x_ref):
     """Relative recovery error ||x - x_ref||_2 / ||x_ref||_2, the bits of the
-    run loop's rmse column (_rmse_vs).  The reference must be finite and
-    nonzero; an x that overflowed to an infinity scores inf."""
+    run loop's rmse column: both norms are core._norm's.  The reference must
+    be finite, with a nonzero norm; an x that overflowed to an infinity
+    scores inf."""
     x = np.asarray(x, dtype=np.float64)
     x_ref = core.as_vector(x_ref, "x_ref")
     if x.shape != x_ref.shape:
         raise InvalidInstance(f"length mismatch: {x.shape} vs {x_ref.shape}")
-    if not np.any(x_ref):
-        raise InvalidInstance("reference vector is zero")
-    return _rmse_vs(x, x_ref)
+    ref_norm = core._norm(x_ref)
+    if ref_norm == 0.0:
+        raise InvalidInstance("the reference is zero, or its 2-norm underflows to 0")
+    return core._norm(x - x_ref) / ref_norm
 
 
 @dataclass
@@ -169,7 +179,7 @@ def _solve(alg, p, mu, x_true, **config):
         converged=trace.flags["converged"],
         diverged=trace.flags["diverged"],
         final_objective=state.objective,
-        final_rmse=_rmse_vs(state.x, x_true) if np.any(x_true) else None,
+        final_rmse=rmse(state.x, x_true) if np.any(x_true) else None,
         objective_trace=[float(v) for v in trace.column("objective")],
         trace=trace,
         final_x=state.x.copy(),

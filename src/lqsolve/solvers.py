@@ -13,24 +13,24 @@ mu, params)``: ``_sweep``, the C kernel's sweep, for gaita, and
 ``_jacobi_step`` for jaita.  The C binding takes its arrays' pointers and
 owns its screening state: the sweep always screens, skipping a zero
 coordinate's dot product while a bound proves it stays zero, with every
-output unchanged.  The loop binds the kernel's measure (``_measure``)
-the same way, once per run, and calls it once after each sweep: one C
-call refreshes r = A x - y and gives r . r, the penalty sum, the squared
-step and distance to the reference, and the support size.  So the sweep
-and everything the trace records are computed in the kernel, and gaita's
-bits do not depend on the BLAS; jaita's A^T r and its default step size
+output unchanged.  The loop binds the kernel's measure
+(``core._measure``) the same way, once per run, and calls it once for the
+initial state and once after each sweep: one C call refreshes
+r = A x - y and gives r . r, the penalty sum, the squared step and
+distance to the reference, and the support size.  So the sweep and
+everything the trace records are computed in the kernel, and gaita's bits
+do not depend on the BLAS; jaita's A^T r and its default step size
 (||A||_2^2) use numpy's BLAS, and theirs may.  The prox tolerance is the
 constant prox.TOL.  default_mu gives each solver's default step size.
 """
 
-import ctypes
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import _csweep, core, prox
-from .core import format_float, objective_from_rr, write_rows
+from .core import _check_kernel_arrays, _measure, _norm, format_float, write_rows
 from .errors import DimensionMismatch, InvalidInstance
 from .prox import ProxParams, prox_vector
 
@@ -74,8 +74,9 @@ class SolverConfig:
             raise InvalidInstance(f"tol must be >= 0, got {self.tol}")
         if self.reference is not None:
             self.reference = core.as_vector(self.reference, "reference")
-            if np.linalg.norm(self.reference) == 0.0:
-                raise InvalidInstance("the RMSE reference is zero")
+            if _norm(self.reference) == 0.0:  # the rmse divides by it
+                raise InvalidInstance("the RMSE reference is zero, or its 2-norm "
+                                      "underflows to 0")
         elif self.stop == "rmse":
             raise InvalidInstance("the RMSE stop rule needs a nonzero reference "
                                   "(ground truth)")
@@ -89,15 +90,6 @@ class SolverState:
     n: int
     residual: np.ndarray
     objective: float
-
-    @classmethod
-    def initial(cls, p, x0):
-        x = core.as_vector(x0, "x0").copy()
-        if x.shape[0] != p.n:
-            raise DimensionMismatch(f"x0 has length {x.shape[0]}, expected {p.n}")
-        r = np.empty(p.m)
-        rr = _refresh(p.A, p.y, x, r)()
-        return cls(x=x, n=0, residual=r, objective=objective_from_rr(p, x, rr))
 
 
 class IterationTrace:
@@ -147,22 +139,6 @@ class IterationTrace:
 # ---------------------------------------------------------------------------
 # steps
 
-def _check_kernel_arrays(A, x, r):
-    """Check what the kernel's x and r pointers need: a Fortran-ordered
-    float64 A, and writable contiguous float64 x and r of A's shape."""
-    if A.dtype != np.float64 or A.ndim != 2 or not A.flags.f_contiguous:
-        raise InvalidInstance("the C kernel needs a Fortran-ordered float64 matrix")
-    for v in (x, r):
-        if (v.dtype != np.float64 or v.ndim != 1 or not v.flags.c_contiguous
-                or not v.flags.writeable):
-            raise InvalidInstance("the C kernel needs writable contiguous float64 vectors")
-    m, n_dim = A.shape
-    if x.shape[0] != n_dim or r.shape[0] != m:
-        raise DimensionMismatch(
-            f"x and r have lengths {x.shape[0]} and {r.shape[0]}, "
-            f"expected {n_dim} and {m}")
-
-
 def _sweep(A, x, r, mu, params):
     """Bind the cyclic sweep, the C kernel in _sweep.c, to x and r: returns
     a function of no arguments that runs one sweep in place on them.
@@ -200,80 +176,8 @@ def _jacobi_step(A, x, r, mu, params):
     return step
 
 
-def _refresh(A, y, x, r):
-    """Bind the residual refresh, the C kernel's lq_refresh, to x and r:
-    returns a function of no arguments that sets r = A x - y in place and
-    returns r . r.
-
-    r is -y plus x_i a_i for each x_i != 0, in column order, so the work
-    is the support's; r . r is summed in the kernel's lane order.  As with
-    _sweep, x and r must change only in place.
-    """
-    _check_kernel_arrays(A, x, r)
-    y = np.ascontiguousarray(y, dtype=np.float64)
-    if y.shape != r.shape:
-        raise DimensionMismatch(f"y has length {y.shape[0]}, expected {r.shape[0]}")
-    lq_refresh = _csweep.lq_refresh
-    args = (A.shape[0], A.shape[1], A.ctypes.data, x.ctypes.data,
-            y.ctypes.data, r.ctypes.data)
-
-    def refresh():
-        return lq_refresh(*args)
-
-    refresh.arrays = (A, y, x, r)  # keeps the memory behind the pointers alive
-    return refresh
-
-
 # ---------------------------------------------------------------------------
 # run loops
-
-def _measure(p, x, x_before, r, ref):
-    """Bind what the run loop measures after a sweep, the C kernel's
-    lq_measure, to x, x_before and r: returns a function of no arguments
-    that returns (objective, step_norm, rmse, support_size) and leaves
-    x_before = x for the next sweep.
-
-    In one call the kernel refreshes r = A x - y as _refresh does and sums
-    r . r, the penalty, ||x - x_before||^2 and ||x - ref||^2 in its lane
-    order; Python takes the square roots and forms the objective
-    0.5 * r . r + lam * penalty (objective_from_rr's bits) and the rmse
-    ||x - ref|| / ||ref|| (_rmse_vs's bits; nan without a reference).  As
-    with _sweep, x, x_before and r must change only in place.
-    """
-    _check_kernel_arrays(p.A, x, r)
-    _check_kernel_arrays(p.A, x_before, r)
-    if ref is not None:
-        ref = core.as_vector(ref, "the RMSE reference")
-        if ref.shape[0] != p.n:
-            raise DimensionMismatch(f"the RMSE reference has length {ref.shape[0]}, "
-                                    f"expected {p.n}")
-    ref_norm = math.nan if ref is None else _norm(ref)
-    diff, out = np.empty(p.n), (ctypes.c_double * 4)()
-    lq_measure, lam = _csweep.lq_measure, p.lam
-    args = (p.m, p.n, p.A.ctypes.data, x.ctypes.data, x_before.ctypes.data,
-            p.y.ctypes.data, r.ctypes.data, None if ref is None else ref.ctypes.data,
-            p.q, diff.ctypes.data, ctypes.addressof(out))
-
-    def measure():
-        support = lq_measure(*args)
-        d2, rr, pen, e2 = out
-        return 0.5 * rr + lam * pen, math.sqrt(d2), math.sqrt(e2) / ref_norm, support
-
-    measure.arrays = (p.A, p.y, x, x_before, r, ref, diff, out)  # keeps the memory alive
-    return measure
-
-
-def _norm(v):
-    """The 2-norm of a 1-d vector, its squares summed in the kernel
-    (lq_dot), with no BLAS: an infinite entry gives inf."""
-    v = np.ascontiguousarray(v, dtype=np.float64)
-    return math.sqrt(_csweep.lq_dot(v.shape[0], v.ctypes.data, v.ctypes.data))
-
-
-def _rmse_vs(x, ref):
-    """||x - ref|| / ||ref||, unchecked: the bits of the loop's rmse column."""
-    return _norm(x - ref) / _norm(ref)
-
 
 @np.errstate(over="ignore", invalid="ignore")
 def _run(p, x0, config, algorithm, bind, mu_bound, updates_per_sweep):
@@ -281,10 +185,11 @@ def _run(p, x0, config, algorithm, bind, mu_bound, updates_per_sweep):
 
     ``bind(A, x, r, mu, params)`` is called once, before the first sweep,
     and returns ``step()``, which does one sweep in place on x and r.  The
-    loop fills x_before = x once, then after each sweep makes one kernel
-    call (_measure) for the step_norm ||x - x_before||, the refreshed
-    r = A x - y with the objective, the rmse and the support size, which
-    also moves x_before on to x.  Every decision stays here: stop
+    loop copies the checked x0 into x and x_before, and one kernel call
+    (_measure) gives the initial state and row 0.  After each sweep one
+    more call gives the step_norm ||x - x_before||, the refreshed
+    r = A x - y with the objective, the rmse and the support size, and
+    moves x_before on to x.  Every decision stays here: stop
     "iterate_change" compares step_norm with config.tol, the divergence
     guard reads the objective, and the loop picks the rows to record.  It
     changes x and r only in place and never rebinds them, so a step and
@@ -295,8 +200,10 @@ def _run(p, x0, config, algorithm, bind, mu_bound, updates_per_sweep):
     divergence guard is what reports an objective that overflows.
     """
     params = ProxParams(c=p.lam * config.mu, q=p.q)
-    state = SolverState.initial(p, x0)
-    x, r = state.x, state.residual
+    x = core.as_vector(x0, "x0").copy()
+    if x.shape[0] != p.n:
+        raise DimensionMismatch(f"x0 has length {x.shape[0]}, expected {p.n}")
+    r = np.empty(p.m)
     measure = _measure(p, x, x.copy(), r, config.reference)
     trace = IterationTrace()
     trace.flags = {
@@ -307,7 +214,8 @@ def _run(p, x0, config, algorithm, bind, mu_bound, updates_per_sweep):
         "did_not_converge": False,
         "sweeps": 0,
     }
-    obj0, _, rmse, support = measure()  # state.objective's bits
+    obj0, _, rmse, support = measure()
+    state = SolverState(x=x, n=0, residual=r, objective=obj0)
     guard = DIVERGENCE_FACTOR * obj0 if obj0 > 0 else DIVERGENCE_FACTOR
     trace.record(0, 0, obj0, math.nan, support, rmse, x, config.record_iterates)
     if not (obj0 <= guard < math.inf):  # a NaN, infinite or near-overflow start

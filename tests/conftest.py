@@ -212,7 +212,7 @@ def lane_dot(a, r):
 
 
 def refresh_oracle(A, x, y):
-    """r = A x - y as _sweep.c's lq_refresh computes it, and r . r: r = -y,
+    """r = A x - y as _sweep.c's refresh computes it, and r . r: r = -y,
     then r += x_i a_i for each x_i != 0 (NaN included), in column order,
     one column at a time; r . r summed by lane_dot.  Returns (r, r . r)."""
     r = -np.asarray(y, dtype=np.float64)
@@ -222,7 +222,7 @@ def refresh_oracle(A, x, y):
 
 
 def penalty_oracle(x, q):
-    """sum |x_i|^q as _sweep.c's lq_penalty computes it: math.pow (libm's
+    """sum |x_i|^q as _sweep.c's penalty computes it: math.pow (libm's
     pow) of each nonzero |x_i| (NaN included) and 0.0 for each zero, the
     dense powers then summed by lane_dot."""
     powers = np.array([math.pow(abs(v), q) if v != 0.0 else 0.0
@@ -246,6 +246,16 @@ def coordinate_step(A, x, r, mu, params, i):
     if d != 0.0:
         r += d * A[:, i]
         x[i] = xi
+
+
+def initial_state(p, x0):
+    """The run loop's initial state from x0 on the oracles: r = A x0 - y by
+    refresh_oracle, and the objective with its penalty by penalty_oracle.
+    gaita_update's replays start from it."""
+    x = np.array(x0, dtype=np.float64)
+    r, rr = refresh_oracle(p.A, x, p.y)
+    return solvers.SolverState(x=x, n=0, residual=r,
+                               objective=0.5 * rr + p.lam * penalty_oracle(x, p.q))
 
 
 def gaita_update(state, p, config):

@@ -16,10 +16,10 @@ from lqsolve.diagnostics import (certify_local_min, check_relative_error,
 from lqsolve.harness import (MU_GRID, Q_GRID, InstanceSpec, generate_instance,
                              rmse, run_experiment)
 from lqsolve.prox import ProxParams, prox_scalar, prox_vector
-from lqsolve.solvers import SolverConfig, SolverState, gaita_run
+from lqsolve.solvers import SolverConfig, gaita_run
 
 import conftest
-from conftest import bisect_root, gaita_update
+from conftest import bisect_root, gaita_update, initial_state
 
 
 def report(num, name, ok, detail=""):
@@ -94,7 +94,7 @@ def test_criterion_03_sufficient_decrease():
         mu = 0.95 / lmax
         coeff = 0.5 * (1.0 / mu - lmax)
         config = SolverConfig(mu=mu)
-        state = SolverState.initial(p, np.zeros(p.n))
+        state = initial_state(p, np.zeros(p.n))
         for _ in range(400):  # sweeps, each ending as solvers._run ends it
             x_before = state.x.copy()
             for _ in range(p.n):

@@ -425,6 +425,19 @@ class TestExitCodes:
     def test_bad_flag_value(self, capsys):
         assert run_cli("solve", "--lam", "not-a-number") == 2
 
+    @pytest.mark.parametrize("snr_db", ["nan", "-6200", "-inf", "-7000"])
+    @pytest.mark.parametrize("command", ["gen", "solve"])
+    def test_bad_snr_db_exits_2_and_writes_nothing(self, command, snr_db, tmp_path,
+                                                   capsys):
+        # a NaN snr_db, one whose noise scale overflows (-6200), and ones
+        # whose 10^(snr_db/20) underflows to 0 (-inf, -7000)
+        out = tmp_path / "out"
+        assert run_cli(command, "--m", "6", "--n", "10", "--k", "2",
+                       f"--snr-db={snr_db}", "--out-dir", str(out), "--quiet") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and "snr_db" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("command,cfg", [
         (("solve",), {"stop": "bogus"}),
         (("solve",), {"algorithm": "bogus"}),

@@ -3,9 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lqsolve.core import (ProblemInstance, column_norms_sq, l_max,
-                          min_eig_symmetric, objective, objective_from_rr,
-                          spectral_norm_sq)
+from lqsolve.core import (ProblemInstance, _measure, column_norms_sq, l_max,
+                          min_eig_symmetric, objective, spectral_norm_sq)
 from lqsolve.errors import AsymmetricMatrix, DimensionMismatch, InvalidInstance
 from lqsolve.harness import InstanceSpec, generate_instance
 
@@ -146,8 +145,8 @@ class TestObjective:
         # the kernel raises only the nonzero entries to the power q and
         # adds them in its lanes by index; penalty_oracle raises every
         # entry (math.pow, the same libm pow) and sums the dense powers by
-        # lane_dot.  With lam = 1 and rr = 0 the objective is the sum
-        # itself.  numpy's x ** q cannot be the pin: its power loop rounds
+        # lane_dot.  The measure's sum is read from its call's out buffer.
+        # numpy's x ** q cannot be the pin: its power loop rounds
         # differently from libm's pow in some entries
         for n in (1, 7, 9, 130, 500, 1031):
             p = ProblemInstance(A=np.ones((2, n)), y=np.zeros(2), lam=1.0, q=q)
@@ -166,7 +165,9 @@ class TestObjective:
                         x[spots[2]] = rng.choice([np.inf, -np.inf])
                     elif kind == "nan":
                         x[spots[2]] = np.nan
-                    got = objective_from_rr(p, x, 0.0)
+                    measure = _measure(p, x, x.copy(), np.empty(2), None)
+                    measure()
+                    got = measure.out[2]
                     assert repr(got) == repr(penalty_oracle(x, q)), (n, kind)
                     if kind in ("inf", "nan"):
                         assert repr(got) == ("inf" if kind == "inf" else "nan")

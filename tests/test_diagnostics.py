@@ -8,9 +8,10 @@ from lqsolve.diagnostics import (certify_local_min, check_relative_error,
                                  check_stationary, check_update_optimality)
 from lqsolve.errors import InvalidInstance, NotStationary
 from lqsolve.prox import ProxParams
-from lqsolve.solvers import SolverConfig, SolverState, gaita_run
+from lqsolve.solvers import SolverConfig, gaita_run
 
-from conftest import bisect_root, gaita_update, prox_vector_oracle, small_problem
+from conftest import (bisect_root, gaita_update, initial_state, prox_vector_oracle,
+                      small_problem)
 
 
 def unit_fixed_point():
@@ -81,7 +82,7 @@ class TestUpdateOptimality:
         p, _ = small_problem(seed=20, m=10, n=15, k=3)
         mu = 0.9 / l_max(p.A)
         config = SolverConfig(mu=mu)
-        state = SolverState.initial(p, np.zeros(p.n))
+        state = initial_state(p, np.zeros(p.n))
         for _ in range(2 * p.n):
             i = state.n % p.n
             new = gaita_update(state, p, config)

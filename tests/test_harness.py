@@ -91,6 +91,11 @@ class TestRmse:
         with pytest.raises(InvalidInstance):
             rmse(np.ones(3), np.zeros(3))
 
+    def test_reference_whose_norm_underflows_rejected(self):
+        # nonzero, but its squares sum to 0: the norm it divides by is 0
+        with pytest.raises(InvalidInstance, match="2-norm underflows"):
+            rmse(np.array([1.0, 0.0]), np.array([1e-200, 0.0]))
+
     def test_length_mismatch_rejected(self):
         with pytest.raises(InvalidInstance):
             rmse(np.ones(3), np.ones(4))

@@ -7,11 +7,10 @@ import conftest
 # the oracles the kernel is compared with bit for bit
 ORACLES = ("solve_inverse", "prox_oracle", "prox_vector_oracle", "lane_dot",
            "lane_norm", "refresh_oracle", "penalty_oracle", "coordinate_step",
-           "gaita_update", "sweep_oracle", "plain_run")
+           "initial_state", "gaita_update", "sweep_oracle", "plain_run")
 # the kernel's handles, and the library names that call them
-KERNEL = {"_csweep", "lq_sweep", "lq_prox", "lq_parse", "lq_measure", "lq_refresh",
-          "lq_penalty", "lq_dot", "prox_vector", "prox_scalar", "_sweep", "_measure",
-          "_refresh", "_norm", "_rmse_vs", "objective_from_rr", "objective",
+KERNEL = {"_csweep", "lq_sweep", "lq_prox", "lq_parse", "lq_measure", "lq_dot",
+          "prox_vector", "prox_scalar", "_sweep", "_measure", "_norm", "objective",
           "read_array"}
 
 

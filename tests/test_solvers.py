@@ -16,18 +16,17 @@ from lqsolve.core import ProblemInstance, l_max, objective, spectral_norm_sq
 from lqsolve.errors import DimensionMismatch, InvalidInstance
 from lqsolve.harness import InstanceSpec, generate_instance
 from lqsolve.prox import ProxParams, prox_vector
-from lqsolve.solvers import (IterationTrace, SolverConfig, SolverState,
-                             gaita_run, jaita_run)
+from lqsolve.solvers import IterationTrace, SolverConfig, gaita_run, jaita_run
 
-from conftest import (bisect_root, gaita_update, lane_norm, penalty_oracle,
-                      plain_run, prox_vector_oracle, read_trace_csv, refresh_oracle,
-                      small_problem, sweep_oracle)
+from conftest import (bisect_root, gaita_update, initial_state, lane_norm,
+                      penalty_oracle, plain_run, prox_vector_oracle, read_trace_csv,
+                      refresh_oracle, small_problem, sweep_oracle)
 
 
 class TestGaitaUpdate:
     def test_unit_worked_example(self, unit_problem):
         # first update solves v + 0.5/sqrt(v) = 2 on [1, 2]
-        state = SolverState.initial(unit_problem, np.zeros(1))
+        state = initial_state(unit_problem, np.zeros(1))
         config = SolverConfig(mu=1.0)
         new = gaita_update(state, unit_problem, config)
         import math
@@ -36,7 +35,7 @@ class TestGaitaUpdate:
         assert new.n == 1
 
     def test_fixed_point_is_unchanged(self, unit_problem):
-        state = SolverState.initial(unit_problem, np.zeros(1))
+        state = initial_state(unit_problem, np.zeros(1))
         config = SolverConfig(mu=1.0)
         s1 = gaita_update(state, unit_problem, config)
         s2 = gaita_update(s1, unit_problem, config)
@@ -45,7 +44,7 @@ class TestGaitaUpdate:
     def test_residual_matches_recomputation(self):
         p, _ = small_problem(seed=2)
         config = SolverConfig(mu=0.5 / l_max(p.A))
-        state = SolverState.initial(p, np.zeros(p.n))
+        state = initial_state(p, np.zeros(p.n))
         for _ in range(3 * p.n):  # three full sweeps of chained rank-1 updates
             state = gaita_update(state, p, config)
         fresh = p.A @ state.x - p.y
@@ -57,7 +56,7 @@ class TestGaitaUpdate:
         mu = 0.95 / lmax
         coeff = 0.5 * (1.0 / mu - lmax)
         config = SolverConfig(mu=mu)
-        state = SolverState.initial(p, np.zeros(p.n))
+        state = initial_state(p, np.zeros(p.n))
         for _ in range(2 * p.n):
             new = gaita_update(state, p, config)
             i = state.n % p.n
@@ -81,7 +80,7 @@ class TestGaitaRun:
         assert trace.flags["converged"]
         obj = trace.column("objective")
         assert np.all(np.diff(obj) <= 1e-12)
-        assert state.objective == pytest.approx(objective(p, state.x), rel=1e-12)
+        assert state.objective == objective(p, state.x)
 
     def test_step_norms_summable(self):
         # sum of squared sweep steps is bounded by the initial objective
@@ -106,7 +105,7 @@ class TestGaitaRun:
         p, _ = small_problem(seed=6, m=8, n=12, k=2)
         config = SolverConfig(mu=0.9 / l_max(p.A), max_sweeps=5, stop="cap")
         state, _ = gaita_run(p, np.zeros(p.n), config)
-        ref = SolverState.initial(p, np.zeros(p.n))
+        ref = initial_state(p, np.zeros(p.n))
         for sweep in range(5):
             for _ in range(p.n):
                 ref = gaita_update(ref, p, config)
@@ -231,20 +230,49 @@ def test_a_run_that_overflows_ends_diverged():
                 _assert_same_run(got, plain_run(p, np.zeros(3), config, algorithm))
 
 
+def refresh(A, y, x, r):
+    """Set r = A x - y in place through the run loop's measure, whose
+    kernel call refreshes r; returns r . r, read from the call's out
+    buffer."""
+    p = SimpleNamespace(A=A, y=y, lam=1.0, q=0.5, m=A.shape[0], n=A.shape[1])
+    measure = solvers._measure(p, x, x.copy(), r, None)
+    measure()
+    return measure.out[1]
+
+
+@pytest.fixture(scope="module")
+def paper_instance():
+    """The paper's 250 x 500 instance with 15 nonzeros, seed 0."""
+    return generate_instance(InstanceSpec(250, 500, 15, seed=0))
+
+
+@pytest.mark.parametrize("q", [0.5, 2 / 3, 0.9])
+@pytest.mark.parametrize("algorithm", ["gaita", "jaita"])
+def test_objective_is_the_final_states_bit_for_bit(algorithm, q, paper_instance):
+    # core.objective makes the run loop's measure call once, so it gives a
+    # run's final objective exactly
+    p = paper_instance.problem(0.001, q)
+    run = gaita_run if algorithm == "gaita" else jaita_run
+    state, _ = run(p, np.zeros(p.n),
+                   SolverConfig(mu=solvers.default_mu(algorithm, p.A)))
+    assert state.objective == objective(p, state.x)
+
+
 def assert_sweeps_match(p, x, r, mu, sweeps):
     """Sweep x and r = A x - y with the kernel, and copies of them with the
     oracle, refreshing r after each sweep, the kernel's r with the kernel's
-    refresh and the copy with refresh_oracle: x and r keep the same bits."""
+    measure and the copy with refresh_oracle: x and r keep the same bits."""
     params = ProxParams(c=p.lam * mu, q=p.q)
     xp, rp = x.copy(), r.copy()
     sweep_c = solvers._sweep(p.A, x, r, mu, params)
-    refresh_c = solvers._refresh(p.A, p.y, x, r)
+    measure_c = solvers._measure(p, x, x.copy(), r, None)
     sweep_py = sweep_oracle(p.A, xp, rp, mu, params)
     for k in range(sweeps):
         assert 0 <= sweep_c() <= p.n  # the columns screening skipped
         sweep_py()
         assert x.tobytes() == xp.tobytes() and r.tobytes() == rp.tobytes(), k
-        rr = refresh_c()
+        measure_c()
+        rr = measure_c.out[1]
         rp[:], rr_py = refresh_oracle(p.A, xp, p.y)
         assert r.tobytes() == rp.tobytes() and repr(rr) == repr(rr_py), k
 
@@ -268,10 +296,10 @@ def test_kernel_matches_pure_python_at_every_lane_remainder(m):
 # every remainder of the refresh's four-column groups, and a full support
 @pytest.mark.parametrize("support", [*range(10), 500])
 def test_refresh_matches_the_oracle(support):
-    # lq_refresh against refresh_oracle byte for byte, r and r . r.  Some of
-    # y's entries are zero and some of x's zeros are -0.0: with no support,
-    # adding the -0.0 columns would turn some of those entries of r from
-    # -0.0 to +0.0
+    # the measure's refresh against refresh_oracle byte for byte, r and
+    # r . r.  Some of y's entries are zero and some of x's zeros are -0.0:
+    # with no support, adding the -0.0 columns would turn some of those
+    # entries of r from -0.0 to +0.0
     rng = np.random.default_rng(support)
     A = np.asfortranarray(rng.standard_normal((250, 500)))
     y = rng.standard_normal(250)
@@ -280,7 +308,7 @@ def test_refresh_matches_the_oracle(support):
     x[rng.choice(500, support, replace=False)] = rng.standard_normal(support)
     x[np.flatnonzero(x == 0.0)[::3]] = -0.0
     r = np.full(250, np.nan)
-    rr = solvers._refresh(A, y, x, r)()
+    rr = refresh(A, y, x, r)
     want, rr_want = refresh_oracle(A, x, y)
     assert r.tobytes() == want.tobytes() and repr(rr) == repr(rr_want)
     if support == 0:
@@ -293,13 +321,13 @@ def test_refresh_carries_an_infinite_x():
     A = np.asfortranarray(np.arange(12.0).reshape(4, 3) - 4.0)
     x, y = np.array([np.inf, 0.5, -np.inf]), np.ones(4)
     r = np.empty(4)
-    rr = solvers._refresh(A, y, x, r)()
+    rr = refresh(A, y, x, r)
     with np.errstate(invalid="ignore"):
         want, rr_want = refresh_oracle(A, x, y)
     assert np.isnan(r).any() and np.isinf(r).any() and np.isnan(rr)
     assert r.tobytes() == want.tobytes() and repr(rr) == repr(rr_want)
     x[1:] = 0.0
-    rr = solvers._refresh(A, y, x, r)()
+    rr = refresh(A, y, x, r)
     assert np.isinf(r[[0, 2, 3]]).all() and rr == np.inf
 
 
@@ -334,14 +362,15 @@ def test_measure_matches_the_oracles(algorithm, case):
     bind = solvers._sweep if algorithm == "gaita" else solvers._jacobi_step
     x, x_before, r = x0.copy(), x0.copy(), np.empty(p.m)
     with np.errstate(over="ignore", invalid="ignore"):
-        solvers._refresh(p.A, p.y, x, r)()
+        measure = solvers._measure(p, x, x_before, r, ref)
+        measure()  # the initial r = A x0 - y, as for the run loop's row 0
         bind(p.A, x, r, mu, ProxParams(c=p.lam * mu, q=p.q))()
-        got = solvers._measure(p, x, x_before, r, ref)()
+        got = measure()
         r_want, rr = refresh_oracle(p.A, x, p.y)
         want = (0.5 * rr + p.lam * penalty_oracle(x, p.q), lane_norm(x - x0),
                 lane_norm(x - ref) / lane_norm(ref) if ref is not None else np.nan,
                 int(np.count_nonzero(x)))
-    assert repr(got) == repr(want)
+    assert repr(got) == repr(want) and repr(measure.out[1]) == repr(rr)
     assert r.tobytes() == r_want.tobytes() and x_before.tobytes() == x.tobytes()
     if case == "signed_zero":  # -0.0 to 0.0 is no step
         assert got[:2] == (0.0, 0.0) and got[3] == 0
@@ -370,19 +399,18 @@ def test_c_kernel_rejects_bad_arrays(bad, error):
         x = np.zeros(4)
     with pytest.raises(error):  # at bind time, before any pointer is used
         solvers._sweep(A, x, r, 0.1, ProxParams(c=0.01, q=0.5))
-    with pytest.raises(error):
-        solvers._refresh(A, np.zeros(4), x, r)
     p = SimpleNamespace(A=A, y=np.zeros(4), lam=0.01, q=0.5, m=4, n=3)
-    with pytest.raises(error):
+    with pytest.raises(error):  # x as the iterate, then as x_before
         solvers._measure(p, x, np.zeros(3), r, None)
+    with pytest.raises(error):
+        solvers._measure(p, np.zeros(3), x, r, None)
 
 
 def test_kernel_builds_into_an_empty_cache(tmp_path, monkeypatch):
     monkeypatch.setattr(_csweep, "CACHE", tmp_path)
     handles = _csweep.load()
     assert [h.__name__ for h in handles] == ["lq_sweep", "lq_prox", "lq_parse",
-                                             "lq_measure", "lq_refresh",
-                                             "lq_penalty", "lq_dot"]
+                                             "lq_measure", "lq_dot"]
     assert [f.suffix for f in tmp_path.iterdir()] == [".so"]
 
 
@@ -516,7 +544,7 @@ def one_jaita_step(p, x0, mu):
 class TestJaita:
     def test_update_keeps_fixed_point(self, unit_problem):
         config = SolverConfig(mu=1.0)
-        state = SolverState.initial(unit_problem, np.zeros(1))
+        state = initial_state(unit_problem, np.zeros(1))
         s1 = gaita_update(state, unit_problem, config)  # reach the fixed point
         s2 = one_jaita_step(unit_problem, s1.x, config.mu)
         assert s2.x[0] == pytest.approx(s1.x[0], abs=1e-9)
@@ -533,8 +561,7 @@ class TestJaita:
         state, trace = jaita_run(p, np.zeros(p.n), SolverConfig(mu=mu))
         assert trace.flags["converged"]
         assert not trace.flags["mu_warning"]
-        rep_obj = objective(p, state.x)
-        assert state.objective == pytest.approx(rep_obj, rel=1e-12)
+        assert state.objective == objective(p, state.x)
 
     def test_diverges_at_large_step(self):
         p, _ = small_problem(seed=12, lam=0.001)
@@ -813,6 +840,11 @@ class TestConfigValidation:
     def test_rejects_zero_reference(self):
         with pytest.raises(InvalidInstance, match="reference is zero"):
             SolverConfig(mu=0.5, reference=np.zeros(3))
+
+    def test_rejects_a_reference_whose_norm_underflows(self):
+        # its squares sum to 0, so the rmse column would divide by zero
+        with pytest.raises(InvalidInstance, match="2-norm underflows"):
+            SolverConfig(mu=0.5, reference=np.array([1e-200, 0.0]))
 
     def test_rmse_stop_needs_reference(self):
         with pytest.raises(InvalidInstance, match="needs a nonzero reference"):
